@@ -184,6 +184,33 @@ inline QpsResult SystemQps(baselines::VectorSystem& system,
       total_queries, threads);
 }
 
+/// Per-query execution breakdown summed over the successful queries in a
+/// database's query log (DESIGN.md §15). Benches Clear() the log before the
+/// measured run; the ring holds the last 1,024 queries, so a run must issue
+/// fewer than that.
+struct LedgerTotals {
+  size_t queries = 0;
+  double exec_micros = 0;
+  double queue_wait_micros = 0;
+  double compute_micros = 0;
+  double sim_io_micros = 0;
+  size_t retries = 0;
+};
+
+inline LedgerTotals SumQueryLog(core::BlendHouse& db) {
+  LedgerTotals t;
+  for (const core::QueryLogRecord& rec : db.query_log().Records()) {
+    if (rec.status != "ok") continue;
+    ++t.queries;
+    t.exec_micros += rec.exec_micros;
+    t.queue_wait_micros += rec.ledger.queue_wait_micros;
+    t.compute_micros += rec.ledger.compute_micros;
+    t.sim_io_micros += rec.ledger.sim_io_micros;
+    t.retries += rec.ledger.retries;
+  }
+  return t;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

@@ -1,58 +1,42 @@
-// Core-scaling curve for the shard-per-core execution engine (DESIGN.md
-// §12): read QPS of Fig. 12's mixed read/write workload as worker threads
-// and in-flight client concurrency sweep 1 -> N, A/B'd between the sharded
-// scheduler (per-thread run queues + work stealing + per-shard deadline
-// heaps) and the legacy single shared queue (`SET scheduler_sharding = 0`).
+// Concurrency curve for the execution engine (DESIGN.md §12): read QPS of
+// Fig. 12's mixed read/write workload as worker threads and in-flight client
+// concurrency sweep 1 -> N.
 //
 // The host may have a single core, so the curve is driven by in-flight
 // concurrency over SIMULATED I/O rather than raw CPU parallelism: a cache
 // budget too small to retain any index forces every query through the disk
 // tier, and the charged latency parks on the scheduler's delay queue
 // without occupying a thread. More threads => more overlapped waits =>
-// higher QPS, until queue contention flattens the curve — which is exactly
-// the contention the sharded engine removes.
+// higher QPS, until queue contention or compute flattens the curve.
 //
-// Expected shape: both curves rise monotonically; the single-queue curve
-// flattens earlier (every Submit/Wake crossing one mutex), the sharded
-// curve tracks closer to linear. Emits BENCH_core_scaling.json for CI
-// trend tracking; with BH_BENCH_ASSERT=1 the smoke assertions below gate
-// the build.
+// Expected shape: the curve rises monotonically. Emits
+// BENCH_core_scaling.json for CI trend tracking; with BH_BENCH_ASSERT=1 the
+// smoke assertions below gate the build.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/blendhouse_system.h"
 #include "bench/bench_util.h"
 #include "common/metrics.h"
-#include "common/sharding.h"
 #include "tests/test_util.h"
 
 namespace blendhouse {
 namespace {
 
-double ReadCounter(const std::string& name) {
-  for (const auto& s :
-       common::metrics::MetricsRegistry::Instance().Snapshot())
-    if (s.name == name) return s.value;
-  return 0;
-}
-
 struct ScalePoint {
   size_t threads = 0;
   double qps = 0;
   double p99_ms = 0;
-  double steals = 0;  // pool + scheduler steals during the measured run
 };
 
-ScalePoint ReadQpsAtConcurrency(bool sharded, size_t threads,
+ScalePoint ReadQpsAtConcurrency(size_t threads,
                                 const baselines::BenchDataset& data) {
   baselines::BlendHouseSystemOptions opts = bench::DefaultBhOptions();
-  opts.db.scheduler_sharding = sharded;
   opts.db.worker_threads = threads;
   // Fig. 12's mixed configuration: index builds share the read VW's pools.
   opts.db.separate_write_vw = false;
@@ -103,8 +87,6 @@ ScalePoint ReadQpsAtConcurrency(bool sharded, size_t threads,
   (void)bench::SystemQps(system, data, /*k=*/10, /*ef=*/64,
                          /*total_queries=*/8 * threads, false, 0, 0,
                          /*threads=*/threads);
-  const double steals_before = ReadCounter("bh_threadpool_steals_total") +
-                               ReadCounter("bh_scheduler_steals_total");
   bench::QpsResult r =
       bench::SystemQps(system, data, /*k=*/10, /*ef=*/64,
                        /*total_queries=*/80 * threads, false, 0, 0,
@@ -116,38 +98,24 @@ ScalePoint ReadQpsAtConcurrency(bool sharded, size_t threads,
   p.threads = threads;
   p.qps = r.qps;
   p.p99_ms = r.p99_latency_ms;
-  p.steals = ReadCounter("bh_threadpool_steals_total") +
-             ReadCounter("bh_scheduler_steals_total") - steals_before;
   return p;
 }
 
-void WriteJson(const std::vector<size_t>& sweep,
-               const std::vector<ScalePoint>& sharded,
-               const std::vector<ScalePoint>& single) {
+void WriteJson(const std::vector<ScalePoint>& curve) {
   std::FILE* f = std::fopen("BENCH_core_scaling.json", "w");
   if (f == nullptr) return;
-  auto arr = [&](const char* key, const std::vector<ScalePoint>& pts,
-                 double ScalePoint::*field) {
-    std::fprintf(f, "  \"%s\": [", key);
-    for (size_t i = 0; i < pts.size(); ++i)
-      std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", pts[i].*field);
-    std::fprintf(f, "],\n");
-  };
   std::fprintf(f, "{\n  \"bench\": \"core_scaling\",\n");
   std::fprintf(f, "  \"scale\": %.3f,\n", bench::BenchScale());
   std::fprintf(f, "  \"threads\": [");
-  for (size_t i = 0; i < sweep.size(); ++i)
-    std::fprintf(f, "%s%zu", i == 0 ? "" : ", ", sweep[i]);
-  std::fprintf(f, "],\n");
-  arr("sharded_qps", sharded, &ScalePoint::qps);
-  arr("sharded_p99_ms", sharded, &ScalePoint::p99_ms);
-  arr("sharded_steals", sharded, &ScalePoint::steals);
-  arr("single_queue_qps", single, &ScalePoint::qps);
-  arr("single_queue_p99_ms", single, &ScalePoint::p99_ms);
-  std::fprintf(f, "  \"speedup_at_max\": %.3f\n", single.back().qps > 0
-                      ? sharded.back().qps / single.back().qps
-                      : 0.0);
-  std::fprintf(f, "}\n");
+  for (size_t i = 0; i < curve.size(); ++i)
+    std::fprintf(f, "%s%zu", i == 0 ? "" : ", ", curve[i].threads);
+  std::fprintf(f, "],\n  \"qps\": [");
+  for (size_t i = 0; i < curve.size(); ++i)
+    std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", curve[i].qps);
+  std::fprintf(f, "],\n  \"p99_ms\": [");
+  for (size_t i = 0; i < curve.size(); ++i)
+    std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", curve[i].p99_ms);
+  std::fprintf(f, "]\n}\n");
   std::fclose(f);
 }
 
@@ -157,8 +125,7 @@ void WriteJson(const std::vector<size_t>& sweep,
 int main() {
   using namespace blendhouse;
   bench::QuietLogs();
-  bench::PrintHeader(
-      "Core scaling: sharded vs single-queue scheduler, mixed workload");
+  bench::PrintHeader("Core scaling: scheduler concurrency curve, mixed workload");
 
   baselines::DatasetSpec spec = bench::Scaled(baselines::CohereSmall());
   spec.n = std::min<size_t>(spec.n, 4096);  // rebuilt once per sweep point
@@ -172,34 +139,28 @@ int main() {
   for (size_t t = 1; t <= max_t; t *= 2) sweep.push_back(t);
   if (sweep.back() != max_t) sweep.push_back(max_t);
 
-  std::vector<ScalePoint> sharded, single;
-  std::printf("%-10s %14s %14s %14s %10s %10s\n", "threads", "sharded QPS",
-              "single-Q QPS", "sharded/1Q", "p99 (ms)", "steals");
+  auto* sched_wait = common::metrics::MetricsRegistry::Instance().GetHistogram(
+      "bh_scheduler_queue_wait_micros");
+  std::vector<ScalePoint> curve;
+  std::printf("%-10s %14s %10s\n", "threads", "QPS", "p99 (ms)");
   for (size_t t : sweep) {
-    ScalePoint s = ReadQpsAtConcurrency(/*sharded=*/true, t, data);
-    ScalePoint q = ReadQpsAtConcurrency(/*sharded=*/false, t, data);
-    sharded.push_back(s);
-    single.push_back(q);
-    std::printf("%-10zu %14.0f %14.0f %13.2fx %10.2f %10.0f\n", t, s.qps,
-                q.qps, q.qps > 0 ? s.qps / q.qps : 0.0, s.p99_ms, s.steals);
+    ScalePoint p = ReadQpsAtConcurrency(t, data);
+    curve.push_back(p);
+    std::printf("%-10zu %14.0f %10.2f\n", t, p.qps, p.p99_ms);
   }
 
-  WriteJson(sweep, sharded, single);
+  WriteJson(curve);
   std::printf(
       "\nReading: QPS rises with in-flight concurrency because each query's"
       "\nsimulated disk-tier I/O parks on the delay queue instead of holding"
-      "\na thread. The single shared queue funnels every submit and wake"
-      "\nthrough one mutex and flattens first; per-shard queues with work"
-      "\nstealing keep the curve climbing (curve written to"
-      " BENCH_core_scaling.json).\n");
+      "\na thread (curve written to BENCH_core_scaling.json).\n");
   bench::PrintRegistrySnapshot({"bh_threadpool_", "bh_scheduler_"});
 
   // Smoke gate (CI sets BH_BENCH_ASSERT=1). The hard guarantee is the
   // scaling shape: overlapped sim I/O must buy throughput, monotonically
-  // within noise tolerance. The sharded-vs-single ratio is gated loosely —
-  // on a single-core host both engines sit on the same I/O-overlap ceiling
-  // and the ratio is noise around 1.0; the gate only catches a sharding
-  // regression that makes it clearly WORSE than the queue it replaced.
+  // within noise tolerance. The scheduler's queue-wait sum must also stay a
+  // real duration: under a second per task on average, where a negative
+  // wait cast to uint64 once exported ~1e19.
   if (const char* gate = std::getenv("BH_BENCH_ASSERT");
       gate != nullptr && gate[0] == '1') {
     int failures = 0;
@@ -209,15 +170,14 @@ int main() {
         ++failures;
       }
     };
-    expect(sharded.back().qps > sharded.front().qps,
-           "sharded QPS(max threads) > QPS(1 thread)");
-    expect(single.back().qps > single.front().qps,
-           "single-queue QPS(max threads) > QPS(1 thread)");
-    for (size_t i = 1; i < sharded.size(); ++i)
-      expect(sharded[i].qps >= 0.8 * sharded[i - 1].qps,
-             "sharded curve monotone within 20% tolerance");
-    expect(sharded.back().qps >= 0.8 * single.back().qps,
-           "sharded >= 0.8x single-queue at max concurrency");
+    expect(curve.back().qps > curve.front().qps,
+           "QPS(max threads) > QPS(1 thread)");
+    for (size_t i = 1; i < curve.size(); ++i)
+      expect(curve[i].qps >= 0.8 * curve[i - 1].qps,
+             "curve monotone within 20% tolerance");
+    expect(sched_wait->Sum() <
+               static_cast<double>(sched_wait->Count()) * 1e6,
+           "bh_scheduler_queue_wait_micros_sum < count x 1e6 us");
     if (failures > 0) return 1;
     std::printf("\nsmoke assertions passed (%zu sweep points)\n",
                 sweep.size());

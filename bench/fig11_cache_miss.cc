@@ -110,7 +110,7 @@ int main() {
   std::printf("%-24s %14.3f %11.2fx\n", "brute force fallback", brute,
               brute / local);
 
-  // ---- ExecStats breakdown through the executor ----------------------------
+  // ---- Query-log breakdown through the executor ----------------------------
   // The same warm-vs-cold contrast driven end-to-end through the SQL
   // executor: the async task breakdown attributes each configuration's
   // latency. Warm caches are compute-bound; a memory budget too small to
@@ -130,23 +130,20 @@ int main() {
         opts.db.settings.acquire.force_local_load = true;
       }
       baselines::BlendHouseSystem system(opts);
-      baselines::BlendHouseSystem::AccumulatedExecStats stats;
-      if (!system.Load(bdata).ok()) return stats;
-      (void)system.DrainExecStats();  // drop load/preload accounting
+      if (!system.Load(bdata).ok()) return bench::LedgerTotals();
+      system.db().query_log().Clear();  // drop load/preload queries
       (void)bench::SystemQps(system, bdata, /*k=*/10, /*ef=*/64,
                              /*queries=*/60);
-      return system.DrainExecStats();
+      return bench::SumQueryLog(system.db());
     };
-    auto print_row =
-        [](const char* label,
-           const baselines::BlendHouseSystem::AccumulatedExecStats& s) {
-          double n = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
-          std::printf("%-24s %10.0f %12.0f %12.0f %12.0f\n", label,
-                      s.exec_micros / n, s.queue_wait_micros / n,
-                      s.compute_micros / n, s.sim_io_micros / n);
-        };
+    auto print_row = [](const char* label, const bench::LedgerTotals& s) {
+      double n = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
+      std::printf("%-24s %10.0f %12.0f %12.0f %12.0f\n", label,
+                  s.exec_micros / n, s.queue_wait_micros / n,
+                  s.compute_micros / n, s.sim_io_micros / n);
+    };
     std::printf(
-        "\nExecStats breakdown (executor-driven, per-query averages, us):\n");
+        "\nQuery-log breakdown (executor-driven, per-query averages, us):\n");
     std::printf("%-24s %10s %12s %12s %12s\n", "config", "exec", "queue wait",
                 "compute", "sim I/O");
     print_row("warm cache", run(true));

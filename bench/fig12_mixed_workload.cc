@@ -25,7 +25,7 @@ namespace {
 
 struct RunResult {
   double qps = -1;
-  baselines::BlendHouseSystem::AccumulatedExecStats stats;
+  bench::LedgerTotals stats;
 };
 
 RunResult ReadQpsUnderWrites(bool separate_write_vw, size_t write_threads,
@@ -42,7 +42,7 @@ RunResult ReadQpsUnderWrites(bool separate_write_vw, size_t write_threads,
   opts.index_params["EF_CONSTRUCTION"] = "40";
   baselines::BlendHouseSystem system(opts);
   if (!system.Load(data).ok()) return {};
-  (void)system.DrainExecStats();  // drop any warm-up accounting
+  system.db().query_log().Clear();  // drop any warm-up queries
 
   // Rate-limited background writers: each submits one 256-row batch then
   // sleeps, so total write CPU stays well below one core and the measured
@@ -75,12 +75,11 @@ RunResult ReadQpsUnderWrites(bool separate_write_vw, size_t write_threads,
                                         false, 0, 0, /*threads=*/2);
   stop.store(true);
   for (auto& t : writers) t.join();
-  return {r.qps, system.DrainExecStats()};
+  return {r.qps, bench::SumQueryLog(system.db())};
 }
 
 void PrintBreakdownRow(const char* label, size_t write_threads,
-                       const baselines::BlendHouseSystem::AccumulatedExecStats&
-                           s) {
+                       const bench::LedgerTotals& s) {
   double n = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
   std::printf("%-10s %6zu %12.0f %12.0f %12.0f %12.0f %8zu\n", label,
               write_threads, s.exec_micros / n, s.queue_wait_micros / n,
@@ -110,7 +109,7 @@ int main() {
     runs.push_back({w, {isolated, mixed}});
   }
 
-  std::printf("\nExecStats breakdown (per-query averages, us):\n");
+  std::printf("\nQuery-log breakdown (per-query averages, us):\n");
   std::printf("%-10s %6s %12s %12s %12s %12s %8s\n", "config", "writes",
               "exec", "queue wait", "compute", "sim I/O", "retries");
   for (const auto& [w, pair] : runs) {

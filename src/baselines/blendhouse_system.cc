@@ -77,32 +77,9 @@ std::string BlendHouseSystem::BuildSearchSql(
 
 common::Result<std::vector<vecindex::Neighbor>> BlendHouseSystem::Search(
     const SearchRequest& request) {
-  // Join the current accumulation epoch before running: a drain issued while
-  // this query is in flight waits for it instead of losing its stats.
-  uint64_t epoch;
-  {
-    common::MutexLock lock(stats_mu_);
-    epoch = epoch_;
-    ++epochs_[epoch].inflight;
-  }
-
   sql::QuerySettings settings = settings_;
   settings.ef_search = request.ef_search;
   auto result = db_->QueryWithSettings(BuildSearchSql(request), settings);
-
-  {
-    common::MutexLock lock(stats_mu_);
-    EpochSlot& slot = epochs_[epoch];
-    if (result.ok()) {
-      slot.stats.queries += 1;
-      slot.stats.exec_micros += result->stats.exec_micros;
-      slot.stats.queue_wait_micros += result->stats.queue_wait_micros;
-      slot.stats.compute_micros += result->stats.compute_micros;
-      slot.stats.sim_io_micros += result->stats.sim_io_micros;
-      slot.stats.retries += result->stats.retries;
-    }
-    if (--slot.inflight == 0 && epoch != epoch_) stats_cv_.NotifyAll();
-  }
   if (!result.ok()) return result.status();
 
   std::vector<vecindex::Neighbor> out;
@@ -114,19 +91,6 @@ common::Result<std::vector<vecindex::Neighbor>> BlendHouseSystem::Search(
       return common::Status::Internal("unexpected result row shape");
     out.push_back({*id, static_cast<float>(*dist)});
   }
-  return out;
-}
-
-BlendHouseSystem::AccumulatedExecStats BlendHouseSystem::DrainExecStats() {
-  common::MutexLock lock(stats_mu_);
-  // Close the epoch first so new searches accumulate elsewhere, then wait
-  // for its stragglers. Concurrent drains each close (and collect) their
-  // own epoch.
-  uint64_t closed = epoch_++;
-  while (epochs_[closed].inflight > 0) stats_cv_.Wait(stats_mu_);
-  auto it = epochs_.find(closed);
-  AccumulatedExecStats out = it->second.stats;
-  epochs_.erase(it);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "baselines/vectordb_iface.h"
-#include "common/mutex.h"
 #include "core/blendhouse.h"
 
 namespace blendhouse::baselines {
@@ -48,40 +47,11 @@ class BlendHouseSystem : public VectorSystem {
   /// Renders the SQL this adapter issues for a request (for logs/tests).
   std::string BuildSearchSql(const SearchRequest& request) const;
 
-  /// Per-query ExecStats summed over every successful Search() since the
-  /// last drain; benches print the async execution breakdown from this.
-  struct AccumulatedExecStats {
-    size_t queries = 0;
-    double exec_micros = 0;
-    double queue_wait_micros = 0;
-    double compute_micros = 0;
-    double sim_io_micros = 0;
-    size_t retries = 0;
-  };
-  /// Epoch-based drain: closes the current accumulation epoch, waits for
-  /// every Search() that entered it (in-flight at the instant of the drain,
-  /// e.g. racing a worker scale-down) to fold its stats, and returns the
-  /// epoch's totals. Searches that start after the drain land in the next
-  /// epoch, so concurrent drains never lose or double-count a query.
-  AccumulatedExecStats DrainExecStats() EXCLUDES(stats_mu_);
-
  private:
   BlendHouseSystemOptions options_;
   std::unique_ptr<core::BlendHouse> db_;
   sql::QuerySettings settings_;
   size_t dim_ = 0;
-
-  /// One accumulation window. Kept in a map keyed by epoch number until its
-  /// last in-flight search folds and a drain collects it.
-  struct EpochSlot {
-    AccumulatedExecStats stats;
-    size_t inflight = 0;
-  };
-
-  mutable common::Mutex stats_mu_{common::lockrank::kBaselineStats};
-  common::CondVar stats_cv_;
-  uint64_t epoch_ GUARDED_BY(stats_mu_) = 0;
-  std::map<uint64_t, EpochSlot> epochs_ GUARDED_BY(stats_mu_);
 };
 
 }  // namespace blendhouse::baselines

@@ -158,33 +158,25 @@ uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
 
 void Worker::SearchSegmentAsync(
     common::TaskScheduler* sched, std::function<void()> search,
-    std::function<void(const AsyncTaskStats&)> done, size_t affinity) {
+    std::function<void(const AsyncTaskStats&)> done) {
   auto enqueued = std::chrono::steady_clock::now();
-  pool_.Submit(
-      [enqueued, sched, affinity, search = std::move(search),
-       done = std::move(done)]() mutable {
-        auto start = std::chrono::steady_clock::now();
-        AsyncTaskStats stats;
-        stats.queue_wait_micros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(start -
-                                                                  enqueued)
-                .count());
-        {
-          common::DeferredChargeScope scope;
-          search();
-          stats.sim_io_micros = scope.accumulated_micros();
-        }
-        stats.compute_micros = ElapsedMicros(start);
-        // Matches what ScheduleAfter will pick for this affinity; filled
-        // before capture because `done` closes over stats by value.
-        stats.shard = affinity == common::kNoAffinity
-                          ? 0
-                          : affinity % sched->num_shards();
-        sched->ScheduleAfter(stats.sim_io_micros,
-                             [done = std::move(done), stats] { done(stats); },
-                             affinity);
-      },
-      affinity);
+  pool_.Submit([enqueued, sched, search = std::move(search),
+                done = std::move(done)]() mutable {
+    auto start = std::chrono::steady_clock::now();
+    AsyncTaskStats stats;
+    stats.queue_wait_micros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(start -
+                                                              enqueued)
+            .count());
+    {
+      common::DeferredChargeScope scope;
+      search();
+      stats.sim_io_micros = scope.accumulated_micros();
+    }
+    stats.compute_micros = ElapsedMicros(start);
+    sched->ScheduleAfter(stats.sim_io_micros,
+                         [done = std::move(done), stats] { done(stats); });
+  });
 }
 
 common::Future<common::Status> Worker::PreloadIndexAsync(

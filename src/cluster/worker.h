@@ -41,10 +41,6 @@ struct AsyncTaskStats {
   uint64_t queue_wait_micros = 0;
   uint64_t compute_micros = 0;
   uint64_t sim_io_micros = 0;
-  /// Delay-queue shard the completion continuation was pinned to (the
-  /// affinity hint modulo the scheduler's shard count); 0 when the task was
-  /// dispatched without an affinity hint.
-  uint64_t shard = 0;
 };
 
 /// How AcquireIndex may satisfy a request.
@@ -128,15 +124,10 @@ class Worker {
   /// now + accumulated sim-I/O: per-task wall-clock latency is preserved
   /// while the pool thread is already free to start the next segment.
   /// `search`/`done` must own everything they touch (shared query context);
-  /// they may outlive the caller's stack frame. `affinity` is a stable
-  /// submitter hint (the executor passes a hash of the segment id): it pins
-  /// the compute task to one pool run-queue shard and the completion to one
-  /// scheduler shard, so repeated tasks for a segment keep their state on a
-  /// warm shard (stealing still rebalances under skew).
+  /// they may outlive the caller's stack frame.
   void SearchSegmentAsync(common::TaskScheduler* sched,
                           std::function<void()> search,
-                          std::function<void(const AsyncTaskStats&)> done,
-                          size_t affinity = common::kNoAffinity);
+                          std::function<void(const AsyncTaskStats&)> done);
 
   /// Async preload of one segment's index: same deferred-charge pattern as
   /// SearchSegmentAsync but on the background loader pool, so N preloads

@@ -23,7 +23,6 @@ constexpr NamedRank kRankNames[] = {
     {kLsmFlush, "kLsmFlush(950)"},
     {kLsmMemtable, "kLsmMemtable(940)"},
     {kLsmPending, "kLsmPending(930)"},
-    {kBaselineStats, "kBaselineStats(900)"},
     {kLsmPartitioner, "kLsmPartitioner(880)"},
     {kVersionSet, "kVersionSet(860)"},
     {kTableStats, "kTableStats(840)"},
@@ -38,9 +37,7 @@ constexpr NamedRank kRankNames[] = {
     {kObjectStore, "kObjectStore(300)"},
     {kLruCache, "kLruCache(250)"},
     {kThreadPool, "kThreadPool(200)"},
-    {kThreadPoolShard, "kThreadPoolShard(195)"},
     {kTaskScheduler, "kTaskScheduler(180)"},
-    {kSchedulerShard, "kSchedulerShard(175)"},
     {kMetricsRegistry, "kMetricsRegistry(150)"},
     {kSimWait, "kSimWait(100)"},
 };

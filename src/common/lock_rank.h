@@ -56,10 +56,6 @@ inline constexpr int kLsmMemtable = 940;
 /// while submitting to the flush pool.
 inline constexpr int kLsmPending = 930;
 
-/// baselines::BlendHouseSystem::stats_mu_ — per-epoch ExecStats fold; folds
-/// run in query completion continuations with no other lock held.
-inline constexpr int kBaselineStats = 900;
-
 /// storage::LsmEngine::partitioner_mu_ — copy-on-train partitioner publish;
 /// taken under flush_mu_ on the training flush.
 inline constexpr int kLsmPartitioner = 880;
@@ -115,29 +111,15 @@ inline constexpr int kObjectStore = 300;
 /// two LRU locks: tier walks in HierarchicalIndexCache are sequential.
 inline constexpr int kLruCache = 250;
 
-/// common::ThreadPool::sleep_mu_ — the pool's eventcount (idle-worker
-/// parking and the Wait() barrier). Taken with no shard lock held, by
-/// submitters (wake), finishing tasks (idle notify), and parking workers.
+/// common::ThreadPool::mu_ — the pool's run queue, idle-worker parking and
+/// the Wait() barrier (DESIGN.md §12). Submit is callable under any higher
+/// lock; tasks run with no pool lock held.
 inline constexpr int kThreadPool = 200;
 
-/// common::ThreadPool::PoolShard::mu — per-worker run-queue shards
-/// (DESIGN.md §12). All shards of all pools share this one rank: the steal
-/// protocol never holds two shard locks at once (a thief releases nothing —
-/// it owns nothing — and takes exactly one victim lock), so the equal-rank
-/// check dynamically enforces the no-nesting discipline, and
-/// tools/lockgraph.py rejects any same-rank shard edge statically
-/// (rule `shard-nesting`). Submit is callable under any higher lock.
-inline constexpr int kThreadPoolShard = 195;
-
-/// common::TaskScheduler::sleep_mu_ — the scheduler's eventcount (idle
-/// parking with per-owner deadline waits, and the Drain() barrier). Tasks
-/// and expired continuations run with no scheduler lock held.
+/// common::TaskScheduler::mu_ — the scheduler's ready deque, deadline heap,
+/// idle parking (timed on the earliest deadline) and the Drain() barrier.
+/// Tasks and expired continuations run with no scheduler lock held.
 inline constexpr int kTaskScheduler = 180;
-
-/// common::TaskScheduler::SchedulerShard::mu — per-thread ready deque +
-/// deadline heap shards. Same no-nesting family discipline as
-/// kThreadPoolShard: thieves steal ready work under exactly one shard lock.
-inline constexpr int kSchedulerShard = 175;
 
 /// common::metrics::MetricsRegistry::mu_ — metric name map. Get* is called
 /// from constructors that may run under a warehouse or engine lock; the

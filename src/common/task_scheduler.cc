@@ -9,232 +9,116 @@ using Clock = std::chrono::steady_clock;
 
 thread_local DeferredChargeScope* g_charge_scope = nullptr;
 
-// xorshift64 for randomized victim selection (see threadpool.cc).
-uint64_t NextRand(uint64_t* state) {
-  uint64_t x = *state;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  *state = x;
-  return x;
-}
-
 }  // namespace
 
 TaskScheduler::TaskScheduler(size_t num_threads)
-    : TaskScheduler(num_threads, SchedulerShardingEnabled()) {}
-
-TaskScheduler::TaskScheduler(size_t num_threads, bool sharded)
-    // A 1-thread sharded scheduler would be a single shard with no one to
-    // steal from it; keep the single-queue topology there.
-    : sharded_(sharded && num_threads > 1),
-      tasks_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
+    : tasks_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
           "bh_scheduler_tasks_total")),
-      steals_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
-          "bh_scheduler_steals_total")),
       queue_depth_metric_(metrics::MetricsRegistry::Instance().GetGauge(
           "bh_scheduler_queue_depth")),
       queue_wait_metric_(metrics::MetricsRegistry::Instance().GetHistogram(
           "bh_scheduler_queue_wait_micros")) {
   if (num_threads == 0) num_threads = 1;
-  const size_t num_shards = sharded_ ? num_threads : 1;
-  for (size_t i = 0; i < num_shards; ++i) shards_.emplace_back();
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i)
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
 }
 
 TaskScheduler::~TaskScheduler() {
   // Threads exit immediately on stop, dropping still-queued tasks — safe
   // because every scheduler owner (VirtualWarehouse) drains in-flight
   // queries before destruction; see virtual_warehouse.h.
-  stop_.store(true, std::memory_order_seq_cst);
   {
-    MutexLock lock(sleep_mu_);
-    sleep_cv_.NotifyAll();
+    MutexLock lock(mu_);
+    stop_ = true;
+    work_cv_.NotifyAll();
   }
   for (auto& t : threads_) t.join();
 }
 
-size_t TaskScheduler::Schedule(MoveOnlyFn fn, size_t affinity) {
-  const size_t idx = ShardFor(affinity);
-  SchedulerShard& shard = shards_[idx];
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  ready_total_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(shard.mu);
-    shard.ready.push_back(ReadyTask{Clock::now(), std::move(fn)});
-    // Under the lock (not after): a worker could otherwise pop and Sub(1)
-    // before this Add(1), leaving the gauge transiently negative.
+void TaskScheduler::Schedule(MoveOnlyFn fn) {
+  MutexLock lock(mu_);
+  ready_.push_back(ReadyTask{Clock::now(), std::move(fn)});
+  ++outstanding_;
+  queue_depth_metric_->Add(1);
+  work_cv_.NotifyOne();
+}
+
+void TaskScheduler::ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn) {
+  if (delay_micros == 0) return Schedule(std::move(fn));
+  const auto deadline = Clock::now() + std::chrono::microseconds(delay_micros);
+  MutexLock lock(mu_);
+  // A new earliest deadline makes every parked thread's wakeup too late (or
+  // absent), so all of them re-arm. A later one is already covered by the
+  // parked threads' earlier wakeups.
+  const bool earliest =
+      delayed_.empty() || deadline < delayed_.front().deadline;
+  delayed_.push_back(DelayedTask{deadline, next_seq_++, std::move(fn)});
+  std::push_heap(delayed_.begin(), delayed_.end(), Later);
+  ++outstanding_;
+  if (earliest) work_cv_.NotifyAll();
+}
+
+void TaskScheduler::PromoteExpiredLocked(Clock::time_point now) {
+  // pop_heap moves the earliest entry to the back, where its fn is moved out
+  // directly.
+  while (!delayed_.empty() && delayed_.front().deadline <= now) {
+    std::pop_heap(delayed_.begin(), delayed_.end(), Later);
+    ready_.push_back(
+        ReadyTask{delayed_.back().deadline, std::move(delayed_.back().fn)});
+    delayed_.pop_back();
     queue_depth_metric_->Add(1);
   }
-  wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  // Any thread can run ready work: waking one sleeper suffices.
-  WakeSleepers(/*all=*/false);
-  return idx;
 }
 
-size_t TaskScheduler::ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn,
-                                    size_t affinity) {
-  if (delay_micros == 0) return Schedule(std::move(fn), affinity);
-  const auto deadline = Clock::now() + std::chrono::microseconds(delay_micros);
-  const size_t idx = ShardFor(affinity);
-  SchedulerShard& shard = shards_[idx];
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(shard.mu);
-    shard.delayed.push_back(
-        DelayedTask{deadline, shard.next_seq++, std::move(fn)});
-    std::push_heap(shard.delayed.begin(), shard.delayed.end(), Later);
-  }
-  wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  // Only shard `idx`'s owner can promote this deadline, and NotifyOne could
-  // deliver the wakeup to a thief that finds nothing ready and re-parks
-  // untimed — wake everyone so the owner re-arms its timed wait.
-  WakeSleepers(/*all=*/true);
-  return idx;
-}
-
-void TaskScheduler::WakeSleepers(bool all) {
-  // seq_cst pairs with the parker's sleepers_++ / epoch recheck: either this
-  // load sees the sleeper, or the sleeper's recheck sees our epoch bump.
-  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  MutexLock lock(sleep_mu_);
-  if (all) {
-    sleep_cv_.NotifyAll();
-  } else {
-    sleep_cv_.NotifyOne();
-  }
-}
-
-void TaskScheduler::FinishOne() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    MutexLock lock(sleep_mu_);
-    idle_cv_.NotifyAll();
-  }
-}
-
-void TaskScheduler::PopReadyLocked(SchedulerShard& shard,
-                                   Clock::time_point now, MoveOnlyFn* out) {
+MoveOnlyFn TaskScheduler::PopReadyLocked(Clock::time_point now) {
+  ReadyTask& head = ready_.front();
   const uint64_t wait = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          now - shard.ready.front().enqueue_time)
+          now - head.enqueue_time)
           .count());
   queue_wait_micros_.fetch_add(wait, std::memory_order_relaxed);
   queue_wait_metric_->Record(static_cast<double>(wait));
-  *out = std::move(shard.ready.front().fn);
-  shard.ready.pop_front();
+  MoveOnlyFn fn = std::move(head.fn);
+  ready_.pop_front();
   queue_depth_metric_->Sub(1);
-  ready_total_.fetch_sub(1, std::memory_order_relaxed);
+  return fn;
 }
 
-bool TaskScheduler::TryAcquire(size_t self, uint64_t* rng_state,
-                               MoveOnlyFn* out) {
-  const auto now = Clock::now();
-  {
-    SchedulerShard& shard = shards_[self % shards_.size()];
-    MutexLock lock(shard.mu);
-    // Owner-side deadline service: promote every expired delayed task onto
-    // the ready deque. Its queue wait is measured from deadline, not
-    // submission: the delay itself is simulated I/O, not scheduler
-    // contention. pop_heap moves the earliest entry to the back, where its
-    // fn is moved out directly.
-    while (!shard.delayed.empty() && shard.delayed.front().deadline <= now) {
-      std::pop_heap(shard.delayed.begin(), shard.delayed.end(), Later);
-      shard.ready.push_back(ReadyTask{shard.delayed.back().deadline,
-                                      std::move(shard.delayed.back().fn)});
-      shard.delayed.pop_back();
-      queue_depth_metric_->Add(1);
-      ready_total_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!shard.ready.empty()) {
-      PopReadyLocked(shard, now, out);
-      return true;
-    }
-  }
-  if (!sharded_) return false;
-  // Ready-only steal sweep: randomized start, one victim lock at a time (we
-  // hold nothing of our own here), so sibling shard mutexes — one shared
-  // rank — never nest; see lockrank::kSchedulerShard. Delayed tasks are
-  // never stolen: the owner's timed park covers them.
-  const size_t n = shards_.size();
-  const size_t start = static_cast<size_t>(NextRand(rng_state) % n);
-  for (size_t k = 0; k < n; ++k) {
-    const size_t v = (start + k) % n;
-    if (v == self) continue;
-    SchedulerShard& victim = shards_[v];
-    MutexLock lock(victim.mu);
-    if (victim.ready.empty()) continue;
-    PopReadyLocked(victim, now, out);
-    ++victim.steals;
-    steals_total_metric_->Add(1);
-    return true;
-  }
-  return false;
-}
-
-void TaskScheduler::WorkerLoop(size_t self) {
-  uint64_t rng_state = 0xD1B54A32D192ED03ull * (self + 1) | 1;
+void TaskScheduler::WorkerLoop() {
   for (;;) {
-    // Sample before scanning: any publish between this and the park's
-    // recheck aborts the sleep and forces a rescan.
-    const uint64_t epoch = wake_epoch_.load(std::memory_order_seq_cst);
-    if (stop_.load(std::memory_order_seq_cst)) return;
     MoveOnlyFn task;
-    if (TryAcquire(self, &rng_state, &task)) {
-      // More ready work may remain (several deadlines expired at once, or a
-      // burst landed on one shard); pass the baton before running.
-      if (ready_total_.load(std::memory_order_relaxed) > 0)
-        WakeSleepers(/*all=*/false);
-      BH_LOCK_RANK_ONLY(lockrank::AssertNoneHeld("TaskScheduler task"));
-      task();
-      tasks_total_metric_->Add(1);
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      FinishOne();
-      continue;
-    }
-    // Park. An owner with pending deadlines arms a timed wait on its own
-    // earliest deadline; everyone else waits untimed for an epoch bump.
-    bool has_deadline = false;
-    Clock::time_point next_deadline{};
     {
-      SchedulerShard& own = shards_[self % shards_.size()];
-      MutexLock lock(own.mu);
-      if (!own.delayed.empty()) {
-        has_deadline = true;
-        next_deadline = own.delayed.front().deadline;
+      MutexLock lock(mu_);
+      for (;;) {
+        if (stop_) return;
+        const auto now = Clock::now();
+        PromoteExpiredLocked(now);
+        if (!ready_.empty()) {
+          task = PopReadyLocked(now);
+          break;
+        }
+        if (delayed_.empty()) {
+          work_cv_.Wait(mu_);
+        } else {
+          work_cv_.WaitUntil(mu_, delayed_.front().deadline);
+        }
       }
+      // Several deadlines may have expired at once: pass the baton.
+      if (!ready_.empty()) work_cv_.NotifyOne();
     }
-    MutexLock lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (wake_epoch_.load(std::memory_order_seq_cst) == epoch &&
-        !stop_.load(std::memory_order_seq_cst)) {
-      if (has_deadline) {
-        sleep_cv_.WaitUntil(sleep_mu_, next_deadline);
-      } else {
-        sleep_cv_.Wait(sleep_mu_);
-      }
-    }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    BH_LOCK_RANK_ONLY(lockrank::AssertNoneHeld("TaskScheduler task"));
+    task();
+    tasks_total_metric_->Add(1);
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(mu_);
+    if (--outstanding_ == 0) idle_cv_.NotifyAll();
   }
 }
 
 void TaskScheduler::Drain() {
-  // Workers are self-sufficient: every shard's delayed tasks are covered by
-  // its owner's timed park, so waiting on the idle eventcount suffices.
-  MutexLock lock(sleep_mu_);
-  while (outstanding_.load(std::memory_order_acquire) != 0)
-    idle_cv_.Wait(sleep_mu_);
-}
-
-uint64_t TaskScheduler::steals_total() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const SchedulerShard& shard = shards_[i];
-    MutexLock lock(shard.mu);
-    total += shard.steals;
-  }
-  return total;
+  MutexLock lock(mu_);
+  while (outstanding_ != 0) idle_cv_.Wait(mu_);
 }
 
 DeferredChargeScope::DeferredChargeScope() : prev_(g_charge_scope) {

@@ -11,12 +11,11 @@
 #include "common/metrics.h"
 #include "common/move_only_fn.h"
 #include "common/mutex.h"
-#include "common/sharding.h"
 
 namespace blendhouse::common {
 
-/// Continuation-based task scheduler with sharded ready queues and a
-/// sharded deadline-ordered delay queue (DESIGN.md §12).
+/// Continuation-based task scheduler with one FIFO ready queue and one
+/// deadline-ordered delay queue (DESIGN.md §12).
 ///
 /// The scheduler is the substrate of the async execution core: query work is
 /// decomposed into move-only tasks (MoveOnlyFn) that run on a small pool of
@@ -26,56 +25,36 @@ namespace blendhouse::common {
 /// thread in sleep_for. A 2-thread worker can therefore have an unbounded
 /// number of simulated I/Os in flight — the property Figs. 11/12/18 measure.
 ///
-/// Topology: in sharded mode (the default, see common/sharding.h) every
-/// scheduler thread owns one shard holding a ready deque and a binary-heap
-/// delay queue under one mutex (lockrank::kSchedulerShard). Schedule* place
-/// work round-robin or by affinity hint. Each shard's *owner* thread alone
-/// promotes its expired delayed tasks — so a deadline heap is never touched
-/// by two threads' timed waits — while ready tasks may be stolen by any
-/// sibling (one victim lock at a time, never nested; same no-nesting family
-/// discipline as the ThreadPool shards). Ready pops are FIFO on both the own
-/// and the steal path: promoted continuations drain in deadline order.
-/// Single-queue mode (SET scheduler_sharding = 0) is one shard owned by
-/// every thread — the PR2 behaviour.
-///
-/// Idle threads park on one eventcount (sleep_mu_, rank kTaskScheduler): an
-/// owner with pending deadlines parks with WaitUntil(its earliest own
-/// deadline); others park untimed. Producers bump `wake_epoch_` after
-/// publishing, and a parker rechecks the epoch after registering in
-/// `sleepers_` — the seq_cst pairing makes missed wakeups impossible.
+/// One mutex (mu_, rank kTaskScheduler) guards the ready deque, the deadline
+/// min-heap, the Drain() barrier count and both condition variables. Any
+/// idle thread promotes expired deadlines onto the ready deque (so promoted
+/// continuations drain in deadline order) and parks with WaitUntil(earliest
+/// deadline). Every parked thread's wakeup is at or before the earliest
+/// deadline: a ScheduleAfter that becomes the new earliest wakes them all to
+/// re-arm.
 ///
 /// Tasks run with no scheduler lock held, so they may take any lock.
 class TaskScheduler {
  public:
   explicit TaskScheduler(size_t num_threads = 2);
-  /// Explicit topology override (benches A/B the two modes in one process).
-  TaskScheduler(size_t num_threads, bool sharded);
   ~TaskScheduler();
 
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Enqueues `fn` to run as soon as a scheduler thread is free. `affinity`
-  /// pins the task to shard `affinity % num_shards()` (stable hints keep
-  /// related continuations on one shard); kNoAffinity rotates round-robin.
-  /// Returns the shard index the task landed on.
-  size_t Schedule(MoveOnlyFn fn, size_t affinity = kNoAffinity)
-      EXCLUDES(sleep_mu_);
+  /// Enqueues `fn` to run as soon as a scheduler thread is free.
+  void Schedule(MoveOnlyFn fn) EXCLUDES(mu_);
 
   /// Enqueues `fn` to run no earlier than `delay_micros` from now. This is
   /// how simulated latency is charged: the continuation fires at deadline
-  /// while the scheduler threads stay free to run other tasks. Returns the
-  /// shard index the task landed on.
-  size_t ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn,
-                       size_t affinity = kNoAffinity) EXCLUDES(sleep_mu_);
+  /// while the scheduler threads stay free to run other tasks.
+  void ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn) EXCLUDES(mu_);
 
   /// Blocks until both queues are empty and no task is running. Test helper;
   /// the query path never calls this.
-  void Drain() EXCLUDES(sleep_mu_);
+  void Drain() EXCLUDES(mu_);
 
   size_t num_threads() const { return threads_.size(); }
-  size_t num_shards() const { return shards_.size(); }
-  bool sharded() const { return sharded_; }
 
   /// Cumulative count of tasks that have finished running.
   uint64_t tasks_executed() const {
@@ -87,36 +66,19 @@ class TaskScheduler {
     return queue_wait_micros_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative cross-shard ready-task steals (0 in single-queue mode).
-  uint64_t steals_total() const;
-
  private:
   struct DelayedTask {
     std::chrono::steady_clock::time_point deadline;
     uint64_t seq = 0;  // FIFO tie-break for equal deadlines
     // Owned directly: the heap lives in a plain vector manipulated with
     // push_heap/pop_heap, so the expiring task is moved straight out of the
-    // back slot — no shared_ptr indirection per delayed task (the old
-    // std::priority_queue needed one because top() is const).
+    // back slot — no shared_ptr indirection per delayed task.
     MoveOnlyFn fn;
   };
 
   struct ReadyTask {
     std::chrono::steady_clock::time_point enqueue_time;
     MoveOnlyFn fn;
-  };
-
-  /// One per scheduler thread in sharded mode; line-aligned so two shards'
-  /// mutexes never share a cache line.
-  struct alignas(64) SchedulerShard {
-    // mutable: steals_total() is a const observer.
-    mutable Mutex mu{lockrank::kSchedulerShard};
-    std::deque<ReadyTask> ready GUARDED_BY(mu);
-    /// Min-heap on (deadline, seq) via push_heap/pop_heap with Later();
-    /// front() is the earliest deadline.
-    std::vector<DelayedTask> delayed GUARDED_BY(mu);
-    uint64_t next_seq GUARDED_BY(mu) = 0;
-    uint64_t steals GUARDED_BY(mu) = 0;
   };
 
   /// Heap comparator: a sorts after b (std::push_heap keeps the *earliest*
@@ -126,53 +88,35 @@ class TaskScheduler {
     return a.seq > b.seq;
   }
 
-  size_t ShardFor(size_t affinity) {
-    if (affinity != kNoAffinity) return affinity % shards_.size();
-    return rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  }
+  /// Moves every delayed task whose deadline is <= `now` onto the ready
+  /// deque. Its queue wait is measured from deadline, not submission: the
+  /// delay itself is simulated I/O, not scheduler contention.
+  void PromoteExpiredLocked(std::chrono::steady_clock::time_point now)
+      REQUIRES(mu_);
+  /// Pops the FIFO head of the ready deque and records its queue wait.
+  /// `now` must be read under mu_ after every push the caller can observe,
+  /// so `now - enqueue_time` is never negative.
+  MoveOnlyFn PopReadyLocked(std::chrono::steady_clock::time_point now)
+      REQUIRES(mu_);
+  void WorkerLoop() EXCLUDES(mu_);
 
-  /// Pops the FIFO head of `shard.ready` into *out and records queue-wait.
-  /// Caller holds shard.mu.
-  void PopReadyLocked(SchedulerShard& shard,
-                      std::chrono::steady_clock::time_point now,
-                      MoveOnlyFn* out) REQUIRES(shard.mu);
-  /// Promotes own expired deadlines, pops own ready FIFO, then sweeps
-  /// siblings in randomized order stealing ready tasks only. At most one
-  /// shard lock held at any instant.
-  bool TryAcquire(size_t self, uint64_t* rng_state, MoveOnlyFn* out)
-      EXCLUDES(sleep_mu_);
-  void WakeSleepers(bool all) EXCLUDES(sleep_mu_);
-  /// One task completed: drop the Drain() barrier count, waking waiters on
-  /// the last one out.
-  void FinishOne() EXCLUDES(sleep_mu_);
-  void WorkerLoop(size_t self) EXCLUDES(sleep_mu_);
-
-  const bool sharded_;
-  // deque, not vector: SchedulerShard is immovable (Mutex) and the shard
-  // count is fixed in the constructor.
-  std::deque<SchedulerShard> shards_;
-
-  /// Eventcount (see class comment) plus the Drain() barrier.
-  Mutex sleep_mu_{lockrank::kTaskScheduler};
-  CondVar sleep_cv_;
+  Mutex mu_{lockrank::kTaskScheduler};
+  CondVar work_cv_;
   CondVar idle_cv_;
-  std::atomic<size_t> sleepers_{0};
-  /// Bumped by every Schedule/ScheduleAfter publish; parkers sample it
-  /// before scanning and refuse to sleep if it moved.
-  std::atomic<uint64_t> wake_epoch_{0};
-  /// Ready tasks across all shards (for work-conserving chain wakeups).
-  std::atomic<size_t> ready_total_{0};
+  std::deque<ReadyTask> ready_ GUARDED_BY(mu_);
+  /// Min-heap on (deadline, seq) via push_heap/pop_heap with Later();
+  /// front() is the earliest deadline.
+  std::vector<DelayedTask> delayed_ GUARDED_BY(mu_);
+  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   /// Ready + delayed + running: the Drain() barrier.
-  std::atomic<size_t> outstanding_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<size_t> rr_{0};
+  size_t outstanding_ GUARDED_BY(mu_) = 0;
+  bool stop_ GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> queue_wait_micros_{0};
 
   // Registry metrics, shared by every scheduler instance in the process;
   // resolved once here so the hot path never touches the registry map.
   metrics::Counter* tasks_total_metric_;
-  metrics::Counter* steals_total_metric_;
   metrics::Gauge* queue_depth_metric_;
   metrics::HistogramMetric* queue_wait_metric_;
   std::vector<std::thread> threads_;  // written only in the constructor

@@ -1,199 +1,88 @@
 #include "common/threadpool.h"
 
-#include "common/sharding.h"
-
 namespace blendhouse::common {
 
-namespace {
-
-// Cheap per-worker PRNG for victim selection (xorshift64). Quality barely
-// matters — any de-synchronization of the sweep order between thieves avoids
-// the convoy where every starving worker hammers shard 0's lock in lockstep.
-uint64_t NextRand(uint64_t* state) {
-  uint64_t x = *state;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  *state = x;
-  return x;
-}
-
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(num_threads, SchedulerShardingEnabled()) {}
-
-ThreadPool::ThreadPool(size_t num_threads, bool sharded)
-    // A 1-thread sharded pool would differ from single-queue mode only in
-    // pop order (LIFO vs FIFO) with nobody to steal; keep the FIFO topology
-    // there so ordering matches PR2 semantics exactly.
-    : sharded_(sharded && num_threads > 1),
-      tasks_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
+    : tasks_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
           "bh_threadpool_tasks_total")),
-      steals_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
-          "bh_threadpool_steals_total")),
       queue_depth_metric_(metrics::MetricsRegistry::Instance().GetGauge(
           "bh_threadpool_queue_depth")),
       queue_wait_metric_(metrics::MetricsRegistry::Instance().GetHistogram(
           "bh_threadpool_queue_wait_micros")) {
   if (num_threads == 0) num_threads = 1;
-  const size_t num_shards = sharded_ ? num_threads : 1;
-  for (size_t i = 0; i < num_shards; ++i) shards_.emplace_back();
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i)
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_seq_cst);
   {
-    MutexLock lock(sleep_mu_);
-    sleep_cv_.NotifyAll();
+    MutexLock lock(mu_);
+    stop_ = true;
+    work_cv_.NotifyAll();
   }
   for (auto& t : threads_) t.join();
   // A Submit racing shutdown can enqueue after every worker thread observed
   // stop-and-empty and exited. Run the leftovers inline: completion
   // continuations (SearchSegmentAsync's `done`) must fire for every accepted
   // task or the dispatching query waits forever.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    PoolShard& shard = shards_[i];
-    for (;;) {
-      MoveOnlyFn task;
-      {
-        MutexLock lock(shard.mu);
-        if (shard.queue.empty()) break;
-        task = std::move(shard.queue.front().fn);
-        shard.queue.pop_front();
-        queue_depth_metric_->Sub(1);
-      }
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      BH_LOCK_RANK_ONLY(
-          lockrank::AssertNoneHeld("ThreadPool shutdown inline drain"));
-      task();
-      tasks_total_metric_->Add(1);
-      FinishOne();
-    }
-  }
-}
-
-void ThreadPool::WakeOneSleeper() {
-  // seq_cst pairs with the parking worker's sleepers_++ / queued_ recheck:
-  // either this load sees the sleeper (we take sleep_mu_ and notify) or the
-  // sleeper's recheck sees our queued_ increment and refuses to sleep.
-  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  MutexLock lock(sleep_mu_);
-  sleep_cv_.NotifyOne();
-}
-
-void ThreadPool::FinishOne() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    MutexLock lock(sleep_mu_);
-    idle_cv_.NotifyAll();
-  }
-}
-
-bool ThreadPool::TryPop(size_t self, uint64_t* rng_state, MoveOnlyFn* out) {
-  const auto now = std::chrono::steady_clock::now();
-  {
-    PoolShard& shard = shards_[self % shards_.size()];
-    MutexLock lock(shard.mu);
-    if (!shard.queue.empty()) {
-      // LIFO from the own shard when sharded (the freshest task's state is
-      // the warmest); plain FIFO in single-queue mode, matching PR2.
-      auto& slot = sharded_ ? shard.queue.back() : shard.queue.front();
-      queue_wait_metric_->Record(
-          std::chrono::duration<double, std::micro>(now - slot.enqueue_time)
-              .count());
-      *out = std::move(slot.fn);
-      if (sharded_) {
-        shard.queue.pop_back();
-      } else {
-        shard.queue.pop_front();
-      }
-      queue_depth_metric_->Sub(1);
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  if (!sharded_) return false;
-  // Steal sweep: randomized start, then sequential. Exactly one shard lock
-  // is held at a time (we hold nothing of our own here), so sibling shard
-  // mutexes — one shared rank — never nest; see lockrank::kThreadPoolShard.
-  const size_t n = shards_.size();
-  const size_t start = static_cast<size_t>(NextRand(rng_state) % n);
-  for (size_t k = 0; k < n; ++k) {
-    const size_t v = (start + k) % n;
-    if (v == self) continue;
-    PoolShard& victim = shards_[v];
-    MutexLock lock(victim.mu);
-    if (victim.queue.empty()) continue;
-    // FIFO steal: take the victim's oldest task, leaving its warm tail.
-    auto& slot = victim.queue.front();
-    queue_wait_metric_->Record(
-        std::chrono::duration<double, std::micro>(now - slot.enqueue_time)
-            .count());
-    *out = std::move(slot.fn);
-    victim.queue.pop_front();
-    ++victim.steals;
-    queue_depth_metric_->Sub(1);
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    steals_total_metric_->Add(1);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  uint64_t rng_state = 0x9E3779B97F4A7C15ull * (self + 1) | 1;
   for (;;) {
     MoveOnlyFn task;
-    if (TryPop(self, &rng_state, &task)) {
-      BH_LOCK_RANK_ONLY(lockrank::AssertNoneHeld("ThreadPool task"));
-      task();
-      tasks_total_metric_->Add(1);
-      FinishOne();
-      continue;
+    {
+      MutexLock lock(mu_);
+      if (queue_.empty()) break;
+      task = PopLocked();
     }
-    if (stop_.load(std::memory_order_seq_cst)) return;
-    // Park on the eventcount. Register as a sleeper first, then recheck
-    // queued_ under sleep_mu_: a submitter either sees sleepers_ > 0 (and
-    // notifies under the same mutex) or its queued_ bump is visible to this
-    // recheck — a missed wakeup would need both seq_cst orders to invert.
-    MutexLock lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (queued_.load(std::memory_order_seq_cst) == 0 &&
-        !stop_.load(std::memory_order_seq_cst)) {
-      sleep_cv_.Wait(sleep_mu_);
+    RunAndFinish(task, "ThreadPool shutdown inline drain");
+  }
+}
+
+void ThreadPool::Enqueue(MoveOnlyFn fn) {
+  MutexLock lock(mu_);
+  queue_.push_back(QueueEntry{std::chrono::steady_clock::now(), std::move(fn)});
+  ++pending_;
+  queue_depth_metric_->Add(1);
+  work_cv_.NotifyOne();
+}
+
+MoveOnlyFn ThreadPool::PopLocked() {
+  const auto now = std::chrono::steady_clock::now();
+  QueueEntry& head = queue_.front();
+  queue_wait_metric_->Record(
+      std::chrono::duration<double, std::micro>(now - head.enqueue_time)
+          .count());
+  MoveOnlyFn fn = std::move(head.fn);
+  queue_.pop_front();
+  queue_depth_metric_->Sub(1);
+  return fn;
+}
+
+void ThreadPool::RunAndFinish(MoveOnlyFn& task,
+                              [[maybe_unused]] const char* site) {
+  BH_LOCK_RANK_ONLY(lockrank::AssertNoneHeld(site));
+  task();
+  tasks_total_metric_->Add(1);
+  MutexLock lock(mu_);
+  if (--pending_ == 0) idle_cv_.NotifyAll();
+}
+
+void ThreadPool::WorkerLoop() {
+  for (;;) {
+    MoveOnlyFn task;
+    {
+      MutexLock lock(mu_);
+      while (queue_.empty() && !stop_) work_cv_.Wait(mu_);
+      // Workers drain the queue before honouring stop.
+      if (queue_.empty()) return;
+      task = PopLocked();
     }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    RunAndFinish(task, "ThreadPool task");
   }
 }
 
 void ThreadPool::Wait() {
-  MutexLock lock(sleep_mu_);
-  while (pending_.load(std::memory_order_acquire) != 0)
-    idle_cv_.Wait(sleep_mu_);
-}
-
-uint64_t ThreadPool::steals_total() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const PoolShard& shard = shards_[i];
-    MutexLock lock(shard.mu);
-    total += shard.steals;
-  }
-  return total;
-}
-
-std::vector<size_t> ThreadPool::shard_queue_depths() const {
-  std::vector<size_t> depths;
-  depths.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const PoolShard& shard = shards_[i];
-    MutexLock lock(shard.mu);
-    depths.push_back(shard.queue.size());
-  }
-  return depths;
+  MutexLock lock(mu_);
+  while (pending_ != 0) idle_cv_.Wait(mu_);
 }
 
 }  // namespace blendhouse::common

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <deque>
 #include <future>
 #include <thread>
@@ -12,11 +10,10 @@
 #include "common/metrics.h"
 #include "common/move_only_fn.h"
 #include "common/mutex.h"
-#include "common/sharding.h"
 
 namespace blendhouse::common {
 
-/// Fixed-size worker pool with shard-per-core run queues (DESIGN.md §12).
+/// Fixed-size worker pool with one FIFO run queue (DESIGN.md §12).
 ///
 /// Used by cluster workers (query execution), the LSM engine (background
 /// compaction and pipelined index build), and bench harnesses (concurrent
@@ -24,68 +21,32 @@ namespace blendhouse::common {
 /// packaged_task lives inside the closure itself — one allocation per task
 /// instead of the shared_ptr<packaged_task> + std::function pair.
 ///
-/// Topology: in sharded mode (the default, see common/sharding.h) every
-/// worker thread owns one run-queue shard with its own mutex
-/// (lockrank::kThreadPoolShard). Submit enqueues round-robin, or onto
-/// `affinity % num_shards()` when the caller passes a stable hint, so
-/// repeated work for the same key lands on the same shard and its data stays
-/// hot. Workers pop their own shard LIFO (the most recently pushed task's
-/// cache lines are the warmest) and steal FIFO from a random sibling when
-/// their queue is dry; a thief holds exactly one shard lock at a time, so
-/// sibling shard mutexes — which share one rank — never nest. In
-/// single-queue mode (SET scheduler_sharding = 0) there is one shard popped
-/// FIFO by every thread and no stealing: the PR2 behaviour, kept for A/B.
-///
-/// Idle workers park on a single eventcount (sleep_mu_/sleep_cv_, rank
-/// kThreadPool): Submit bumps `queued_` and wakes a sleeper only when one is
-/// registered, so the uncontended fast path is shard-lock + two atomics.
+/// One mutex (mu_, rank kThreadPool) guards the queue, the Wait() barrier
+/// count and both condition variables: idle workers park on work_cv_,
+/// Wait() callers on idle_cv_. Tasks run with no pool lock held, so they may
+/// take any lock; Submit is callable under any lock ranked above the pool.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
-  /// Explicit topology override (benches A/B the two modes in one process).
-  ThreadPool(size_t num_threads, bool sharded);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return threads_.size(); }
-  size_t num_shards() const { return shards_.size(); }
-  bool sharded() const { return sharded_; }
 
-  /// Enqueues `fn`; returns a future for its result. `affinity` pins the
-  /// task to shard `affinity % num_shards()` (pass a stable hash to keep
-  /// related tasks on one shard); kNoAffinity rotates round-robin.
+  /// Enqueues `fn`; returns a future for its result.
   template <typename Fn>
-  auto Submit(Fn&& fn, size_t affinity = kNoAffinity)
-      -> std::future<std::invoke_result_t<Fn>> {
+  auto Submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using R = std::invoke_result_t<Fn>;
     std::packaged_task<R()> task(std::forward<Fn>(fn));
     std::future<R> fut = task.get_future();
-    PoolShard& shard = shards_[ShardFor(affinity)];
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    queued_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      MutexLock lock(shard.mu);
-      shard.queue.push_back(QueueEntry{
-          std::chrono::steady_clock::now(),
-          MoveOnlyFn([task = std::move(task)]() mutable { task(); })});
-      // Under the lock, not after: a fast worker could otherwise run the
-      // task and Sub(1) before this Add(1) lands, leaving the gauge
-      // transiently negative.
-      queue_depth_metric_->Add(1);
-    }
-    WakeOneSleeper();
+    Enqueue(MoveOnlyFn([task = std::move(task)]() mutable { task(); }));
     return fut;
   }
 
-  /// Blocks until every queue is empty and all in-flight tasks finished.
-  void Wait() EXCLUDES(sleep_mu_);
-
-  /// Cumulative cross-shard steals (0 in single-queue mode).
-  uint64_t steals_total() const;
-  /// Instantaneous per-shard queue depths, for bench/test introspection.
-  std::vector<size_t> shard_queue_depths() const;
+  /// Blocks until the queue is empty and all in-flight tasks finished.
+  void Wait() EXCLUDES(mu_);
 
  private:
   struct QueueEntry {
@@ -93,58 +54,27 @@ class ThreadPool {
     MoveOnlyFn fn;
   };
 
-  /// One per worker thread in sharded mode; cache-line aligned so two
-  /// shards' mutexes never share a line (the contention this refactor
-  /// removes).
-  struct alignas(64) PoolShard {
-    // mutable: steals_total()/shard_queue_depths() are const observers.
-    mutable Mutex mu{lockrank::kThreadPoolShard};
-    std::deque<QueueEntry> queue GUARDED_BY(mu);
-    uint64_t steals GUARDED_BY(mu) = 0;
-  };
+  void Enqueue(MoveOnlyFn fn) EXCLUDES(mu_);
+  /// Pops the queue head and records its queue wait. The clock is read
+  /// under the lock, after every push it can observe, so the wait is never
+  /// negative.
+  MoveOnlyFn PopLocked() REQUIRES(mu_);
+  /// Runs a popped task with no lock held, then drops the Wait() barrier
+  /// count, waking waiters on the last one out.
+  void RunAndFinish(MoveOnlyFn& task, const char* site) EXCLUDES(mu_);
+  void WorkerLoop() EXCLUDES(mu_);
 
-  size_t ShardFor(size_t affinity) {
-    if (affinity != kNoAffinity) return affinity % shards_.size();
-    return rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  }
-
-  void WakeOneSleeper() EXCLUDES(sleep_mu_);
-  /// One task completed: drop the Wait() barrier count, waking waiters on
-  /// the last one out.
-  void FinishOne() EXCLUDES(sleep_mu_);
-  /// Pops from the caller's own shard (LIFO when sharded), then sweeps the
-  /// siblings in `rng_state`-randomized order stealing FIFO. Holds at most
-  /// one shard lock at any instant.
-  bool TryPop(size_t self, uint64_t* rng_state, MoveOnlyFn* out)
-      EXCLUDES(sleep_mu_);
-  void WorkerLoop(size_t self) EXCLUDES(sleep_mu_);
-
-  const bool sharded_;
-  // deque, not vector: PoolShard is immovable (Mutex) and the shard count is
-  // fixed in the constructor.
-  std::deque<PoolShard> shards_;
-
-  /// Eventcount for idle workers and the Wait() barrier. Parking is
-  /// two-phase: a worker registers in `sleepers_` under sleep_mu_, rechecks
-  /// `queued_`, and only then waits; a submitter bumps `queued_` first and
-  /// takes sleep_mu_ to notify only when `sleepers_` is nonzero — the
-  /// seq_cst store/load pair makes one side always see the other.
-  Mutex sleep_mu_{lockrank::kThreadPool};
-  CondVar sleep_cv_;
+  Mutex mu_{lockrank::kThreadPool};
+  CondVar work_cv_;
   CondVar idle_cv_;
-  std::atomic<size_t> sleepers_{0};
-  /// Tasks sitting in some shard queue (not yet popped).
-  std::atomic<size_t> queued_{0};
-  /// Tasks submitted and not yet finished (queued + running): Wait() barrier.
-  std::atomic<size_t> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<size_t> rr_{0};
+  std::deque<QueueEntry> queue_ GUARDED_BY(mu_);
+  /// Tasks submitted and not yet finished (queued + running).
+  size_t pending_ GUARDED_BY(mu_) = 0;
+  bool stop_ GUARDED_BY(mu_) = false;
 
-  // Registry metrics (process-wide, summed over all pools and shards);
-  // resolved once in the constructor so Submit never touches the registry
-  // map.
+  // Registry metrics (process-wide, summed over all pools); resolved once in
+  // the constructor so Submit never touches the registry map.
   metrics::Counter* tasks_total_metric_;
-  metrics::Counter* steals_total_metric_;
   metrics::Gauge* queue_depth_metric_;
   metrics::HistogramMetric* queue_wait_metric_;
   std::vector<std::thread> threads_;  // written only in the constructor

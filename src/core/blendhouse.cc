@@ -9,7 +9,6 @@
 #include "cluster/scheduler.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/sharding.h"
 #include "storage/segment.h"
 
 namespace blendhouse::core {
@@ -124,9 +123,6 @@ BlendHouse::BlendHouse(BlendHouseOptions options)
       rpc_(options_.rpc_cost),
       trace_sink_(options_.trace),
       query_log_(options_.query_log) {
-  // Pin the process-wide topology default before any pool/scheduler below
-  // is constructed (the flag is read at construction time).
-  common::SetSchedulerSharding(options_.scheduler_sharding);
   cluster::WorkerOptions worker_options = options_.worker;
   worker_options.threads = options_.worker_threads;
   read_vw_ = std::make_unique<cluster::VirtualWarehouse>(
@@ -754,16 +750,6 @@ common::Status BlendHouse::ApplySetting(const sql::SetStmt& stmt) {
     if (!vecindex::ParsePrecision(*v, &p))
       return common::Status::InvalidArgument("unknown precision: " + *v);
     s.distance_precision = p;
-    return common::Status::Ok();
-  }
-  if (name == "scheduler_sharding") {
-    auto v = as_int();
-    if (!v.ok()) return v.status();
-    // Process-wide construction-time default: affects pools/schedulers
-    // built after this point (a fresh instance, scale-out workers), not
-    // ones already running — queue topology cannot be swapped live.
-    options_.scheduler_sharding = *v != 0;
-    common::SetSchedulerSharding(*v != 0);
     return common::Status::Ok();
   }
   return common::Status::NotFound("unknown setting: " + stmt.name);

@@ -26,12 +26,6 @@ struct BlendHouseOptions {
   size_t read_workers = 2;
   /// Threads per worker.
   size_t worker_threads = 2;
-  /// Shard-per-core execution substrate (DESIGN.md §12): per-thread run
-  /// queues with work stealing in every ThreadPool/TaskScheduler this
-  /// instance constructs. False restores the single shared FIFO queue
-  /// (`SET scheduler_sharding = 0|1` flips the process default for pools
-  /// constructed afterwards, e.g. scale-out workers).
-  bool scheduler_sharding = true;
   /// Per-worker cache configuration.
   cluster::WorkerOptions worker;
 

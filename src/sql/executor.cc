@@ -405,10 +405,6 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
           span->SetTag("segment", meta.segment_id);
           span->SetTag("worker", w->id());
           if (attempt > 0) span->SetTag("attempt", std::to_string(attempt));
-          // Stable submitter-affinity hint: tasks for one segment land on
-          // one pool/scheduler shard across attempts and queries, keeping
-          // per-segment state warm (work stealing rebalances skew).
-          const size_t affinity = std::hash<std::string>{}(meta.segment_id);
           worker->SearchSegmentAsync(
               sched,
               /*search=*/
@@ -424,7 +420,6 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                 span->SetBreakdown(static_cast<double>(ts.compute_micros),
                                    static_cast<double>(ts.sim_io_micros),
                                    static_cast<double>(ts.queue_wait_micros));
-                span->SetTag("shard", std::to_string(ts.shard));
                 if (slot->skipped) span->SetTag("skipped", "true");
                 if (!slot->skipped && !slot->status.ok())
                   span->SetTag("error", slot->status.ToString());
@@ -473,8 +468,7 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                 // RemoveWorker deadlock shape; lockgraph.py flags SetValue
                 // under a held lock as callback-under-lock).
                 if (fire) state->done.SetValue(std::move(outcome));
-              },
-              affinity);
+              });
         }
       }
 

@@ -279,6 +279,16 @@ TEST(ThreadPoolTest, WaitDrainsQueue) {
   EXPECT_EQ(counter.load(), 50);
 }
 
+TEST(ThreadPoolTest, SingleThreadRunsTasksInFifoOrder) {
+  ThreadPool pool(1);
+  std::vector<int> order;
+  for (int i = 0; i < 16; ++i)
+    pool.Submit([&order, i] { order.push_back(i); });
+  pool.Wait();
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+}
+
 TEST(IoTest, RoundTripPodAndVectors) {
   std::string buf;
   BinaryWriter w(&buf);

@@ -18,6 +18,7 @@
 #include "cluster/index_cache.h"
 #include "common/future.h"
 #include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/task_scheduler.h"
 #include "common/threadpool.h"
@@ -177,6 +178,49 @@ TEST(ConcurrencyTest, TaskSchedulerScheduleFromManyThreads) {
   sched.Drain();
   EXPECT_EQ(counter.load(), kSubmitters * kTasks);
   EXPECT_EQ(sched.tasks_executed(), static_cast<uint64_t>(kSubmitters) * kTasks);
+}
+
+// Queue waits are measured against a clock read under the queue lock, after
+// the push. A clock read before the lock can precede a racing push, making
+// the wait negative; the scheduler's uint64 accounting wraps that to ~1e19.
+TEST(ConcurrencyTest, QueueWaitNeverWrapsUnderConcurrentProducers) {
+  auto& registry = common::metrics::MetricsRegistry::Instance();
+  auto* sched_hist = registry.GetHistogram("bh_scheduler_queue_wait_micros");
+  auto* pool_hist = registry.GetHistogram("bh_threadpool_queue_wait_micros");
+  const double sched_sum_before = sched_hist->Sum();
+  const double pool_sum_before = pool_hist->Sum();
+  constexpr int kProducers = 4;
+  constexpr int kTasks = 2000;
+  auto start = std::chrono::steady_clock::now();
+  common::TaskScheduler sched(3);
+  common::ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&sched, &pool, &ran] {
+      for (int i = 0; i < kTasks; ++i) {
+        sched.Schedule([&ran] { ran.fetch_add(1); });
+        pool.Submit([&ran] { ran.fetch_add(1); });
+      }
+    });
+  }
+  for (auto& th : producers) th.join();
+  sched.Drain();
+  pool.Wait();
+  ASSERT_EQ(ran.load(), 2 * kProducers * kTasks);
+  const double wall_micros = std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  // No task can have waited longer than the whole test.
+  const double bound = static_cast<double>(kProducers) * kTasks * wall_micros;
+  EXPECT_LE(static_cast<double>(sched.queue_wait_micros()), bound);
+  const double sched_sum = sched_hist->Sum() - sched_sum_before;
+  const double pool_sum = pool_hist->Sum() - pool_sum_before;
+  EXPECT_GE(sched_sum, 0.0);
+  EXPECT_LE(sched_sum, bound);
+  EXPECT_GE(pool_sum, 0.0);
+  EXPECT_LE(pool_sum, bound);
 }
 
 TEST(ConcurrencyTest, TaskSchedulerDelayQueueOrderingAndTiming) {
@@ -474,12 +518,11 @@ TEST(ConcurrencyTest, LsmEngineAsyncFlushCommitsEverything) {
             static_cast<uint64_t>(kWriters) * kBatches * kBatchRows);
 }
 
-// Epoch-based exec-stats accounting: drains racing in-flight queries (the
-// worker scale-down scenario) must neither lose nor double-count a query.
-// Every successful search folds into exactly one epoch, and every epoch is
-// collected by exactly one drain, so the drained `queries` totals sum to the
-// number of successful searches.
-TEST(ConcurrencyTest, BlendHouseSystemDrainExecStatsRacesQueries) {
+// Query-log accounting racing worker churn: searches retried across a scale
+// event must still land in system.query_log exactly once. Every successful
+// search leaves exactly one "ok" record, and reads of the log race the
+// appends.
+TEST(ConcurrencyTest, BlendHouseSystemQueryLogRacesQueries) {
   baselines::BlendHouseSystemOptions opts;
   opts.db = core::BlendHouseOptions::Fast();
   opts.db.ingest.max_segment_rows = 64;
@@ -493,13 +536,12 @@ TEST(ConcurrencyTest, BlendHouseSystemDrainExecStatsRacesQueries) {
   spec.num_queries = 8;
   baselines::BenchDataset data = baselines::MakeDataset(spec);
   ASSERT_TRUE(system.Load(data).ok());
+  system.db().query_log().Clear();
 
   constexpr int kSearchers = 4;
   constexpr int kSearchesEach = 30;
   std::atomic<size_t> successes{0};
   std::atomic<bool> stop{false};
-  std::atomic<size_t> drained_queries{0};
-  std::atomic<double> drained_exec{0};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kSearchers; ++t) {
@@ -512,17 +554,13 @@ TEST(ConcurrencyTest, BlendHouseSystemDrainExecStatsRacesQueries) {
       }
     });
   }
-  // Drains race the searchers; worker churn makes the epochs non-trivial
-  // (queries retried across a scale event still fold exactly once).
-  threads.emplace_back([&system, &stop, &drained_queries, &drained_exec] {
+  threads.emplace_back([&system, &stop] {
     while (!stop.load()) {
       if (system.db().AddReadWorker() != nullptr) {
         auto workers = system.db().read_vw().workers();
         (void)system.db().RemoveReadWorker(workers.front()->id());
       }
-      auto stats = system.DrainExecStats();
-      drained_queries.fetch_add(stats.queries);
-      drained_exec.store(drained_exec.load() + stats.exec_micros);
+      (void)system.db().query_log().Records();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -530,14 +568,16 @@ TEST(ConcurrencyTest, BlendHouseSystemDrainExecStatsRacesQueries) {
   stop.store(true);
   threads.back().join();
 
-  // A final drain collects whatever the last open epoch accumulated.
-  auto tail = system.DrainExecStats();
-  drained_queries.fetch_add(tail.queries);
-  drained_exec.store(drained_exec.load() + tail.exec_micros);
-
+  size_t ok_records = 0;
+  double exec_micros = 0;
+  for (const core::QueryLogRecord& rec : system.db().query_log().Records()) {
+    if (rec.status != "ok") continue;
+    ++ok_records;
+    exec_micros += rec.exec_micros;
+  }
   EXPECT_GT(successes.load(), 0u);
-  EXPECT_EQ(drained_queries.load(), successes.load());
-  if (successes.load() > 0) EXPECT_GT(drained_exec.load(), 0.0);
+  EXPECT_EQ(ok_records, successes.load());
+  EXPECT_GT(exec_micros, 0.0);
 }
 
 }  // namespace

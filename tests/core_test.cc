@@ -752,6 +752,9 @@ TEST(BlendHouseSettings, SetStatementUpdatesSessionSettings) {
   // Invalid values & unknown settings rejected.
   EXPECT_FALSE(db.ExecuteSql("SET ef_search = 0;").ok());
   EXPECT_TRUE(db.ExecuteSql("SET no_such_knob = 1;").status().IsNotFound());
+  // The scheduler has one queue engine; the old topology knob is gone.
+  EXPECT_TRUE(
+      db.ExecuteSql("SET scheduler_sharding = 1;").status().IsNotFound());
 }
 
 TEST(BlendHouseSettings, SetEfSearchChangesQueryBehaviour) {
@@ -828,6 +831,9 @@ TEST(BlendHouseSettings, SetDistancePrecisionFlowsIntoNewIndexes) {
   }
   ASSERT_TRUE(db.Insert("t", std::move(rows)).ok());
   ASSERT_TRUE(db.Flush("t").ok());
+  // Warm every segment's index first: a cold miss would serve brute force
+  // while the index loads in the background, and that path never reranks.
+  ASSERT_TRUE(db.PreloadTable("t").ok());
 
   auto& reg = common::metrics::MetricsRegistry::Instance();
   uint64_t before = reg.GetCounter("bh_exec_fp32_rerank_rows")->Value();

@@ -201,36 +201,29 @@ TEST(LockRankOrderTest, FanInAboveFutureAndLeaves) {
   EXPECT_GT(lockrank::kObjectStore, lockrank::kSimWait);
 }
 
-TEST(LockRankOrderTest, ShardFamiliesBelowTheirEventcounts) {
-  // The shard-per-core engine (DESIGN.md §12): each pool/scheduler worker
-  // owns a shard mutex; all siblings share one rank so the equal-rank check
-  // forbids nesting (work stealing holds at most one shard lock). The
-  // eventcount mutex of each substrate sits above its shard family — a
-  // parked thread never holds a shard lock, and Submit/Schedule release the
-  // shard before notifying.
-  EXPECT_GT(lockrank::kThreadPool, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kTaskScheduler, lockrank::kSchedulerShard);
-  // The pool shard family sits above the whole scheduler substrate: a pool
-  // task may schedule completions, never the reverse while holding a shard.
-  EXPECT_GT(lockrank::kThreadPoolShard, lockrank::kTaskScheduler);
-  // Existing outer locks that submit work stay above the new shard ranks.
-  EXPECT_GT(lockrank::kLsmFlush, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kSchedulerShard);
-  EXPECT_GT(lockrank::kFuture, lockrank::kSchedulerShard);
-  // Shard critical sections update gauges under the lock (the queue-depth
-  // fix), so metrics must stay below both families.
-  EXPECT_GT(lockrank::kThreadPoolShard, lockrank::kMetricsRegistry);
-  EXPECT_GT(lockrank::kSchedulerShard, lockrank::kMetricsRegistry);
+TEST(LockRankOrderTest, ExecutionQueuesBetweenSubmittersAndMetrics) {
+  // One mutex per pool and per scheduler (DESIGN.md §12) guards its queue,
+  // idle parking and barrier. Locks held while submitting work or firing
+  // continuations stay above both.
+  EXPECT_GT(lockrank::kLsmFlush, lockrank::kThreadPool);
+  EXPECT_GT(lockrank::kLsmPending, lockrank::kThreadPool);
+  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kThreadPool);
+  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kTaskScheduler);
+  EXPECT_GT(lockrank::kFuture, lockrank::kTaskScheduler);
+  EXPECT_GT(lockrank::kThreadPool, lockrank::kTaskScheduler);
+  // Queue critical sections update gauges under the lock (no transiently
+  // negative depth), so the metrics registry sits below both.
+  EXPECT_GT(lockrank::kTaskScheduler, lockrank::kMetricsRegistry);
+  EXPECT_GT(lockrank::kMetricsRegistry, lockrank::kSimWait);
 }
 
 TEST(LockRankOrderTest, RankNamesRoundTrip) {
   EXPECT_STREQ(lockrank::RankName(lockrank::kVirtualWarehouse),
                "kVirtualWarehouse(800)");
-  EXPECT_STREQ(lockrank::RankName(lockrank::kThreadPoolShard),
-               "kThreadPoolShard(195)");
-  EXPECT_STREQ(lockrank::RankName(lockrank::kSchedulerShard),
-               "kSchedulerShard(175)");
+  EXPECT_STREQ(lockrank::RankName(lockrank::kThreadPool),
+               "kThreadPool(200)");
+  EXPECT_STREQ(lockrank::RankName(lockrank::kTaskScheduler),
+               "kTaskScheduler(180)");
   EXPECT_STREQ(lockrank::RankName(lockrank::kUnranked), "unranked");
   // Unknown values render numerically rather than aborting.
   EXPECT_STREQ(lockrank::RankName(123456), "rank(123456)");

@@ -1,175 +1,25 @@
-// Shard-per-core execution engine tests (DESIGN.md §12): per-worker run
-// queues with randomized work stealing in ThreadPool, sharded deadline heaps
-// with owner-serviced timers in TaskScheduler, the `scheduler_sharding`
-// construction-time toggle, and the shared-rank no-nesting discipline of the
-// shard mutex families. The stress tests are written to be meaningful under
-// TSan: racing Submit/Wait and Schedule/Drain across threads while stealing
-// rebalances.
+// Race and deadline-ordering stress for the execution queues (DESIGN.md §7):
+// ThreadPool's single FIFO queue with its Wait() barrier, and TaskScheduler's
+// ready deque plus deadline heap, where any idle thread may promote an
+// expired deadline. The races are written to be meaningful under TSan:
+// racing Submit/Wait and Schedule/Drain across threads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "common/lock_rank.h"
 #include "common/mutex.h"
-#include "common/sharding.h"
 #include "common/task_scheduler.h"
 #include "common/threadpool.h"
 
 namespace {
 
 namespace common = blendhouse::common;
-namespace lockrank = blendhouse::common::lockrank;
-
-#if defined(BLENDHOUSE_LOCK_RANK_CHECKS)
-constexpr bool kChecksCompiledIn = true;
-#else
-constexpr bool kChecksCompiledIn = false;
-#endif
-
-#define SKIP_IF_CHECKS_COMPILED_OUT()                                     \
-  do {                                                                    \
-    if (!kChecksCompiledIn)                                               \
-      GTEST_SKIP() << "BLENDHOUSE_LOCK_RANK_CHECKS not compiled in "      \
-                      "(release build); rank checking is zero-cost here"; \
-  } while (0)
-
-// ---------------------------------------------------------------------------
-// Topology toggle
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerShardingTest, ShardTopologyFollowsToggle) {
-  {
-    common::ScopedSchedulerSharding on(true);
-    common::ThreadPool pool(4);
-    common::TaskScheduler sched(3);
-    EXPECT_TRUE(pool.sharded());
-    EXPECT_EQ(pool.num_shards(), 4u);
-    EXPECT_TRUE(sched.sharded());
-    EXPECT_EQ(sched.num_shards(), 3u);
-  }
-  {
-    common::ScopedSchedulerSharding off(false);
-    common::ThreadPool pool(4);
-    common::TaskScheduler sched(3);
-    EXPECT_FALSE(pool.sharded());
-    EXPECT_EQ(pool.num_shards(), 1u);
-    EXPECT_FALSE(sched.sharded());
-    EXPECT_EQ(sched.num_shards(), 1u);
-  }
-  // A 1-thread pool has nobody to steal from: single-queue regardless.
-  common::ScopedSchedulerSharding on(true);
-  common::ThreadPool single(1);
-  EXPECT_FALSE(single.sharded());
-  EXPECT_EQ(single.num_shards(), 1u);
-}
-
-TEST(SchedulerShardingTest, SingleQueueModePreservesFifoOrderAndNeverSteals) {
-  common::ScopedSchedulerSharding off(false);
-  common::ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 16; ++i)
-    pool.Submit([&order, i] { order.push_back(i); });
-  pool.Wait();
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(pool.steals_total(), 0u);
-}
-
-TEST(SchedulerShardingTest, AffinityPinsSchedulerShard) {
-  common::ScopedSchedulerSharding on(true);
-  common::TaskScheduler sched(4);
-  ASSERT_EQ(sched.num_shards(), 4u);
-  std::atomic<int> ran{0};
-  auto bump = [&ran] { ran.fetch_add(1); };
-  // An explicit affinity lands on affinity % num_shards, for both queues.
-  EXPECT_EQ(sched.Schedule(bump, 7), 7u % 4u);
-  EXPECT_EQ(sched.Schedule(bump, 42), 42u % 4u);
-  EXPECT_EQ(sched.ScheduleAfter(500, bump, 9), 9u % 4u);
-  // kNoAffinity rotates round-robin: four consecutive submits from one
-  // thread cover all four shards.
-  std::set<size_t> seen;
-  for (int i = 0; i < 4; ++i) seen.insert(sched.Schedule(bump));
-  EXPECT_EQ(seen.size(), 4u);
-  sched.Drain();
-  EXPECT_EQ(ran.load(), 7);
-}
-
-// ---------------------------------------------------------------------------
-// Work stealing
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerShardingTest, PoolStealsRebalanceImbalancedSubmit) {
-  common::ScopedSchedulerSharding on(true);
-  common::ThreadPool pool(4);
-  ASSERT_EQ(pool.num_shards(), 4u);
-  // Park a blocker on shard 0 and wait until it is RUNNING (merely queued is
-  // not enough: the sharded own-pop is LIFO, so shard 0's owner could drain
-  // later tasks from the back without ever reaching the blocker). Once it
-  // runs, whichever worker holds it either stole it off shard 0 (a steal
-  // right there) or is worker 0 itself — in which case the quick tasks we
-  // pin behind it can only complete via cross-shard steals.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  pool.Submit(
-      [opened, &started] {
-        started.set_value();
-        opened.wait();
-      },
-      /*affinity=*/0);
-  started.get_future().wait();
-  constexpr int kPinned = 32;
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> done;
-  done.reserve(kPinned);
-  for (int i = 0; i < kPinned; ++i)
-    done.push_back(
-        pool.Submit([&ran] { ran.fetch_add(1); }, /*affinity=*/0));
-  for (auto& f : done) f.get();
-  EXPECT_EQ(ran.load(), kPinned);
-  EXPECT_GE(pool.steals_total(), 1u);
-  gate.set_value();
-  pool.Wait();
-}
-
-TEST(SchedulerShardingTest, SchedulerStealsReadyWorkAcrossShards) {
-  common::ScopedSchedulerSharding on(true);
-  common::TaskScheduler sched(4);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  sched.Schedule([opened] { opened.wait(); }, /*affinity=*/0);
-  constexpr int kPinned = 32;
-  std::promise<void> all_ran;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kPinned; ++i) {
-    sched.Schedule(
-        [&ran, &all_ran] {
-          if (ran.fetch_add(1) + 1 == kPinned) all_ran.set_value();
-        },
-        /*affinity=*/0);
-  }
-  // All pinned tasks complete while the blocker still occupies a thread:
-  // they were drained by siblings stealing from shard 0 (or the blocker
-  // itself was stolen — a steal either way).
-  all_ran.get_future().wait();
-  EXPECT_EQ(ran.load(), kPinned);
-  EXPECT_GE(sched.steals_total(), 1u);
-  gate.set_value();
-  sched.Drain();
-}
-
-// ---------------------------------------------------------------------------
-// Race stress (the interesting interleavings under TSan)
-// ---------------------------------------------------------------------------
 
 TEST(SchedulerShardingTest, WaitVsStealVsSubmitRace) {
-  common::ScopedSchedulerSharding on(true);
   common::ThreadPool pool(4);
   std::atomic<int> counter{0};
   constexpr int kSubmitters = 4;
@@ -177,13 +27,10 @@ TEST(SchedulerShardingTest, WaitVsStealVsSubmitRace) {
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&pool, &counter, t] {
-      for (int i = 0; i < kTasks; ++i) {
-        // Even submitters hammer shard 0 (forcing steals); odd ones rotate.
-        size_t affinity = (t % 2 == 0) ? 0 : common::kNoAffinity;
-        pool.Submit([&counter] { counter.fetch_add(1); }, affinity);
-      }
-      pool.Wait();  // Wait() races other submitters and thieves; no hang.
+    submitters.emplace_back([&pool, &counter] {
+      for (int i = 0; i < kTasks; ++i)
+        pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Wait();  // Wait() races other submitters and the workers; no hang.
     });
   }
   for (auto& th : submitters) th.join();
@@ -192,7 +39,6 @@ TEST(SchedulerShardingTest, WaitVsStealVsSubmitRace) {
 }
 
 TEST(SchedulerShardingTest, DrainVsScheduleRace) {
-  common::ScopedSchedulerSharding on(true);
   common::TaskScheduler sched(4);
   std::atomic<int> counter{0};
   constexpr int kSubmitters = 3;
@@ -200,15 +46,13 @@ TEST(SchedulerShardingTest, DrainVsScheduleRace) {
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&sched, &counter, t] {
+    submitters.emplace_back([&sched, &counter] {
       for (int i = 0; i < kTasks; ++i) {
         auto bump = [&counter] { counter.fetch_add(1); };
         if (i % 3 == 0) {
-          sched.ScheduleAfter(200 + 150 * static_cast<uint64_t>(i % 5), bump,
-                              static_cast<size_t>(t));
+          sched.ScheduleAfter(200 + 150 * static_cast<uint64_t>(i % 5), bump);
         } else {
-          sched.Schedule(bump, (i % 2 == 0) ? static_cast<size_t>(t)
-                                            : common::kNoAffinity);
+          sched.Schedule(bump);
         }
       }
     });
@@ -226,29 +70,21 @@ TEST(SchedulerShardingTest, DrainVsScheduleRace) {
             static_cast<uint64_t>(kSubmitters) * kTasks);
 }
 
-// ---------------------------------------------------------------------------
-// Cross-shard deadline ordering
-// ---------------------------------------------------------------------------
-
 TEST(SchedulerShardingTest, CrossShardDeadlineOrderingWithinTolerance) {
-  common::ScopedSchedulerSharding on(true);
   common::TaskScheduler sched(4);
-  ASSERT_EQ(sched.num_shards(), 4u);
   common::Mutex mu;
   std::vector<int> order;
   auto start = std::chrono::steady_clock::now();
-  // Four deadline waves (40/30/20/10 ms), each pinned to a DIFFERENT shard,
-  // submitted in reverse deadline order: every shard's owner services its
-  // own heap, yet the global firing order must still follow the deadlines.
+  // Four deadline waves (40/30/20/10 ms) submitted in reverse deadline
+  // order: whichever of the four threads promotes an expired deadline, the
+  // global firing order must still follow the deadlines.
   for (int wave = 0; wave < 4; ++wave) {
     for (int i = 0; i < 8; ++i) {
-      sched.ScheduleAfter(
-          10000 * static_cast<uint64_t>(4 - wave),
-          [&mu, &order, wave] {
-            common::MutexLock lock(mu);
-            order.push_back(wave);
-          },
-          /*affinity=*/static_cast<size_t>(wave));
+      sched.ScheduleAfter(10000 * static_cast<uint64_t>(4 - wave),
+                          [&mu, &order, wave] {
+                            common::MutexLock lock(mu);
+                            order.push_back(wave);
+                          });
     }
   }
   sched.Drain();
@@ -259,9 +95,9 @@ TEST(SchedulerShardingTest, CrossShardDeadlineOrderingWithinTolerance) {
   ASSERT_EQ(order.size(), 32u);
   // Nothing fired before its deadline: draining the 40 ms wave needs 40 ms.
   EXPECT_GE(elapsed, 40);
-  // Tolerance-bounded ordering across shards: every wave-3 (10 ms) task
-  // fires before any wave-0 (40 ms) task — adjacent waves may interleave at
-  // the boundary under scheduler jitter, 30 ms apart they must not.
+  // Tolerance-bounded ordering: every wave-3 (10 ms) task fires before any
+  // wave-0 (40 ms) task — adjacent waves may interleave at the boundary
+  // under scheduler jitter, 30 ms apart they must not.
   size_t last_w3 = 0;
   size_t first_w0 = order.size();
   for (size_t i = 0; i < order.size(); ++i) {
@@ -269,57 +105,6 @@ TEST(SchedulerShardingTest, CrossShardDeadlineOrderingWithinTolerance) {
     if (order[i] == 0 && i < first_w0) first_w0 = i;
   }
   EXPECT_LT(last_w3, first_w0);
-}
-
-// ---------------------------------------------------------------------------
-// Shard-family rank discipline
-// ---------------------------------------------------------------------------
-
-class SchedulerShardingDeathTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  }
-};
-
-TEST_F(SchedulerShardingDeathTest, NestedPoolShardLocksDie) {
-  SKIP_IF_CHECKS_COMPILED_OUT();
-  // All pool shards share one rank: the steal protocol holds at most one
-  // shard lock at a time, and the equal-rank check enforces exactly that.
-  EXPECT_DEATH(
-      {
-        common::Mutex own{lockrank::kThreadPoolShard};
-        common::Mutex victim{lockrank::kThreadPoolShard};
-        common::MutexLock local(own);
-        common::MutexLock steal(victim);
-      },
-      "lock-rank violation");
-}
-
-TEST_F(SchedulerShardingDeathTest, NestedSchedulerShardLocksDie) {
-  SKIP_IF_CHECKS_COMPILED_OUT();
-  EXPECT_DEATH(
-      {
-        common::Mutex own{lockrank::kSchedulerShard};
-        common::Mutex victim{lockrank::kSchedulerShard};
-        common::MutexLock local(own);
-        common::MutexLock steal(victim);
-      },
-      "lock-rank violation");
-}
-
-TEST_F(SchedulerShardingDeathTest, PoolShardUnderSchedulerEventcountDies) {
-  SKIP_IF_CHECKS_COMPILED_OUT();
-  // The pool shard family (195) sits ABOVE the scheduler eventcount (180):
-  // a scheduler thread parked on sleep_mu_ must never submit pool work.
-  EXPECT_DEATH(
-      {
-        common::Mutex sched_sleep{lockrank::kTaskScheduler};
-        common::Mutex pool_shard{lockrank::kThreadPoolShard};
-        common::MutexLock parked(sched_sleep);
-        common::MutexLock submit(pool_shard);
-      },
-      "lock-rank violation");
 }
 
 }  // namespace

@@ -20,12 +20,6 @@ Reported as errors (exit 1):
   order-violation      evidence that a mutex is acquired while one of equal
                        or lower rank is held (acquisition must be strictly
                        decreasing in rank).
-  shard-nesting        a shard-family mutex (rank label ending in "Shard":
-                       per-core run-queue / deadline-heap shards) acquired
-                       while a sibling of the same family is held. Sibling
-                       shards deliberately share one rank; the work-stealing
-                       protocol requires holding at most one shard lock at a
-                       time (release your own before locking a victim's).
   cycle                a cycle in the label-level acquisition graph.
   callback-under-lock  an externally supplied callable invoked — directly or
                        through a call chain (e.g. Promise::SetValue firing an
@@ -743,28 +737,15 @@ class Analyzer:
             ra, rb = self.ranks.get(a), self.ranks.get(b)
             if ra is None or rb is None:
                 continue
-            if a == b and a.endswith("Shard"):
-                # Per-core shard family: siblings share one rank on purpose;
-                # the steal protocol forbids holding two shard locks at once.
-                self.report(
-                    path, line, "shard-nesting",
-                    f"{b} acquired while a sibling {a} shard lock is held "
-                    f"via {via}; shard-family locks must never nest — "
-                    "release the local shard before locking a victim's "
-                    "(work-stealing holds at most one shard lock)")
-                continue
             if ra <= rb:
                 self.report(
                     path, line, "order-violation",
                     f"{b} (rank {rb}) acquired while {a} (rank {ra}) is "
                     f"held via {via}; acquisition order must be strictly "
                     "decreasing in rank")
-        # Cycle detection over the label graph. Shard-family self-edges were
-        # already reported above (one rule per defect).
+        # Cycle detection over the label graph.
         graph = {}
         for (a, b) in self.edges:
-            if a == b and a.endswith("Shard"):
-                continue
             graph.setdefault(a, set()).add(b)
             graph.setdefault(b, set())
         WHITE, GREY, BLACK = 0, 1, 2
@@ -859,7 +840,6 @@ namespace blendhouse::common::lockrank {
 inline constexpr int kUnranked = -1;
 inline constexpr int kOuter = 200;
 inline constexpr int kInner = 100;
-inline constexpr int kTestShard = 50;
 }
 """
 
@@ -898,34 +878,6 @@ void Widget::Fire() {
 }
 """
 
-SELFTEST_B_H = """
-#pragma once
-namespace blendhouse::foo {
-class Pool {
- public:
-  void BadSteal();
- private:
-  struct alignas(64) PoolShard {
-    common::Mutex mu{common::lockrank::kTestShard};
-  };
-  std::deque<PoolShard> shards_;
-};
-}
-"""
-
-SELFTEST_B_CC = """
-#include "foo/b.h"
-namespace blendhouse::foo {
-void Pool::BadSteal() {
-  PoolShard& own = shards_[0];
-  common::MutexLock lock(own.mu);
-  PoolShard& victim = shards_[1];
-  common::MutexLock steal_lock(victim.mu);
-}
-}
-"""
-
-
 def self_test():
     with tempfile.TemporaryDirectory() as tmp:
         common = os.path.join(tmp, "src", "common")
@@ -939,15 +891,11 @@ def self_test():
             f.write(SELFTEST_A_H)
         with open(os.path.join(foo, "a.cc"), "w", encoding="utf-8") as f:
             f.write(SELFTEST_A_CC)
-        with open(os.path.join(foo, "b.h"), "w", encoding="utf-8") as f:
-            f.write(SELFTEST_B_H)
-        with open(os.path.join(foo, "b.cc"), "w", encoding="utf-8") as f:
-            f.write(SELFTEST_B_CC)
         analyzer = Analyzer(tmp)
         rc = analyzer.run()
         rules = {r for (_, _, r, _) in analyzer.findings}
         expected = {"order-violation", "cycle", "callback-under-lock",
-                    "unranked-mutex", "shard-nesting"}
+                    "unranked-mutex"}
         missing = expected - rules
         if rc == 0 or missing:
             print(f"lockgraph self-test FAILED: rc={rc}, "
