@@ -62,6 +62,7 @@ class Status {
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsIoError() const { return code_ == Code::kIoError; }
+  bool IsCorruption() const { return code_ == Code::kCorruption; }
 
   Code code() const { return code_; }
   const std::string& message() const { return message_; }

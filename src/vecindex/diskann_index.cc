@@ -11,6 +11,7 @@
 #include "common/task_scheduler.h"
 #include "vecindex/distance.h"
 #include "vecindex/scan_counters.h"
+#include "vecindex/visited_set.h"
 
 namespace blendhouse::vecindex {
 
@@ -61,9 +62,13 @@ DiskAnnIndex::NodeBlockPtr DiskAnnIndex::ReadBlock(uint32_t pos) const {
   auto block = std::make_shared<NodeBlock>();
   common::BinaryReader r(bytes);
   // Blocks are written by Seal(); corruption here is a programming error,
-  // but fail soft with an empty block rather than crash.
+  // but fail soft with an empty block rather than crash. Walks index their
+  // visited sets by neighbor id, so an id past the node count is corrupt.
   if (!r.ReadVector(&block->vector).ok() ||
-      !r.ReadVector(&block->neighbors).ok()) {
+      !r.ReadVector(&block->neighbors).ok() ||
+      block->vector.size() != dim_ ||
+      std::any_of(block->neighbors.begin(), block->neighbors.end(),
+                  [&](uint32_t nb) { return nb >= ids_.size(); })) {
     block->vector.assign(dim_, 0.0f);
     block->neighbors.clear();
   }
@@ -193,7 +198,8 @@ common::Status DiskAnnIndex::AddWithIds(const float* data, const IdType* ids,
                                                static_cast<uint32_t>(n - 1));
   build_graph_.assign(n, {});
   for (size_t i = 0; i < n; ++i) {
-    std::unordered_set<uint32_t> chosen;
+    // Iteration order seeds the graph, so this stays a hash set.
+    std::unordered_set<uint32_t> chosen;  // lint:allow(node-set)
     size_t degree = std::min(options_.R, n - 1);
     while (chosen.size() < degree) {
       uint32_t c = pick(gen);
@@ -208,38 +214,40 @@ common::Status DiskAnnIndex::AddWithIds(const float* data, const IdType* ids,
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
   std::shuffle(order.begin(), order.end(), gen);
 
+  VisitedSet visited;
+  VisitedSet expanded;
   for (uint32_t node : order) {
     const float* query = data + size_t{node} * dim_;
     // In-memory greedy beam search over the build graph (exact distances).
     std::vector<Neighbor> beam;
-    std::unordered_set<uint32_t> visited;
+    visited.Reset(n);
+    expanded.Reset(n);
     std::vector<Neighbor> visited_list;
     InsertBounded(&beam,
                   {static_cast<IdType>(medoid_),
                    dist_(query, data + size_t{medoid_} * dim_, dim_)},
                   options_.L_build);
-    visited.insert(medoid_);
+    visited.Insert(medoid_);
     size_t cursor = 0;
-    std::unordered_set<uint32_t> expanded;
     while (cursor < beam.size()) {
       // Closest unexpanded beam entry.
       size_t pick_idx = beam.size();
       for (size_t i = 0; i < beam.size(); ++i) {
-        if (expanded.count(static_cast<uint32_t>(beam[i].id)) == 0) {
+        if (!expanded.Contains(static_cast<uint32_t>(beam[i].id))) {
           pick_idx = i;
           break;
         }
       }
       if (pick_idx == beam.size()) break;
       uint32_t cur = static_cast<uint32_t>(beam[pick_idx].id);
-      expanded.insert(cur);
+      expanded.Insert(cur);
       visited_list.push_back(beam[pick_idx]);
       // Prefetch the whole neighborhood before the distance loop; beam
       // expansion touches rows in graph order, not memory order.
       for (uint32_t nb : build_graph_[cur])
         kernels::Prefetch(data + size_t{nb} * dim_);
       for (uint32_t nb : build_graph_[cur]) {
-        if (!visited.insert(nb).second) continue;
+        if (!visited.Insert(nb)) continue;
         InsertBounded(&beam,
                       {static_cast<IdType>(nb),
                        dist_(query, data + size_t{nb} * dim_, dim_)},
@@ -292,22 +300,25 @@ common::Result<std::vector<Neighbor>> DiskAnnIndex::SearchWithFilter(
   };
 
   std::vector<Neighbor> beam;  // ordered by approx distance
-  std::unordered_set<uint32_t> seen{medoid_};
-  std::unordered_set<uint32_t> expanded;
+  VisitedSet& seen = ThreadVisitedSet(0);
+  VisitedSet& expanded = ThreadVisitedSet(1);
+  seen.Reset(ids_.size());
+  expanded.Reset(ids_.size());
+  seen.Insert(medoid_);
   std::vector<Neighbor> exact;  // expanded nodes with exact distances
   InsertBounded(&beam, {static_cast<IdType>(medoid_), approx(medoid_)},
                 beam_width);
   for (;;) {
     size_t pick_idx = beam.size();
     for (size_t i = 0; i < beam.size(); ++i) {
-      if (expanded.count(static_cast<uint32_t>(beam[i].id)) == 0) {
+      if (!expanded.Contains(static_cast<uint32_t>(beam[i].id))) {
         pick_idx = i;
         break;
       }
     }
     if (pick_idx == beam.size()) break;
     uint32_t cur = static_cast<uint32_t>(beam[pick_idx].id);
-    expanded.insert(cur);
+    expanded.Insert(cur);
     NodeBlockPtr block = ReadBlock(cur);
     scanstats::AddFp32(1);
     exact.push_back({static_cast<IdType>(cur),
@@ -316,7 +327,7 @@ common::Result<std::vector<Neighbor>> DiskAnnIndex::SearchWithFilter(
     for (uint32_t nb : block->neighbors)
       kernels::Prefetch(pq_codes_.data() + size_t{nb} * pq_.code_size());
     for (uint32_t nb : block->neighbors) {
-      if (!seen.insert(nb).second) continue;
+      if (!seen.Insert(nb)) continue;
       InsertBounded(&beam, {static_cast<IdType>(nb), approx(nb)}, beam_width);
     }
   }
@@ -409,7 +420,9 @@ class DiskAnnSearchIterator : public SearchIterator {
         beam_width_ = std::max(beam_width_ * 2, k * 4);
       adc_.resize(index_->pq_.m() * index_->pq_.ks());
       index_->pq_.BuildAdcTable(query_.data(), adc_.data());
-      seen_.insert(index_->medoid_);
+      seen_.Reset(index_->ids_.size());
+      expanded_.Reset(index_->ids_.size());
+      seen_.Insert(index_->medoid_);
       InsertBounded(&beam_,
                     {static_cast<IdType>(index_->medoid_),
                      Approx(index_->medoid_)},
@@ -436,14 +449,14 @@ class DiskAnnSearchIterator : public SearchIterator {
     for (;;) {
       size_t pick_idx = beam_.size();
       for (size_t i = 0; i < beam_.size(); ++i) {
-        if (expanded_.count(static_cast<uint32_t>(beam_[i].id)) == 0) {
+        if (!expanded_.Contains(static_cast<uint32_t>(beam_[i].id))) {
           pick_idx = i;
           break;
         }
       }
       if (pick_idx == beam_.size()) break;
       uint32_t cur = static_cast<uint32_t>(beam_[pick_idx].id);
-      expanded_.insert(cur);
+      expanded_.Insert(cur);
       DiskAnnIndex::NodeBlockPtr block = index_->ReadBlock(cur);
       scanstats::AddFp32(1);
       fresh.push_back(
@@ -453,7 +466,7 @@ class DiskAnnSearchIterator : public SearchIterator {
         kernels::Prefetch(index_->pq_codes_.data() +
                           size_t{nb} * index_->pq_.code_size());
       for (uint32_t nb : block->neighbors) {
-        if (!seen_.insert(nb).second) continue;
+        if (!seen_.Insert(nb)) continue;
         InsertBounded(&beam_, {static_cast<IdType>(nb), Approx(nb)},
                       beam_width_, &spill_);
       }
@@ -480,7 +493,7 @@ class DiskAnnSearchIterator : public SearchIterator {
     spill_.clear();
     std::sort(pending.begin(), pending.end());
     for (const Neighbor& n : pending) {
-      if (expanded_.count(static_cast<uint32_t>(n.id)) != 0) continue;
+      if (expanded_.Contains(static_cast<uint32_t>(n.id))) continue;
       InsertBounded(&beam_, n, beam_width_, &spill_);
     }
   }
@@ -490,8 +503,10 @@ class DiskAnnSearchIterator : public SearchIterator {
   SearchParams params_;
   std::vector<float> adc_;
   std::vector<Neighbor> beam_;  // ordered by approx distance
-  std::unordered_set<uint32_t> seen_;
-  std::unordered_set<uint32_t> expanded_;
+  // Owned, not the thread's sets: other walks run on this thread between
+  // Next() calls.
+  VisitedSet seen_;
+  VisitedSet expanded_;
   /// Candidates the bounded beam rejected/evicted; the resume frontier.
   std::vector<Neighbor> spill_;
   /// Expanded nodes with exact distances, sorted; [cursor_, end) unserved.
@@ -545,6 +560,8 @@ common::Status DiskAnnIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&l_build));
   BH_RETURN_IF_ERROR(r.Read(&alpha));
   BH_RETURN_IF_ERROR(r.Read(&pq_m));
+  if (metric > static_cast<uint32_t>(Metric::kCosine))
+    return common::Status::Corruption("diskann: bad metric tag");
   dim_ = dim;
   metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
@@ -560,6 +577,10 @@ common::Status DiskAnnIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&num_blocks));
   if (num_blocks != ids_.size())
     return common::Status::Corruption("diskann: block count mismatch");
+  if (!ids_.empty() && medoid_ >= ids_.size())
+    return common::Status::Corruption("diskann: medoid out of range");
+  if (pq_.dim() != dim_ || pq_codes_.size() != ids_.size() * pq_.code_size())
+    return common::Status::Corruption("diskann: code size mismatch");
   disk_blocks_.assign(num_blocks, {});
   for (std::string& block : disk_blocks_)
     BH_RETURN_IF_ERROR(r.ReadString(&block));

@@ -41,8 +41,8 @@ class GenericSearchIterator : public SearchIterator {
   std::vector<Neighbor> last_result_;
   // Ids already emitted. Approximate indexes (PQ refine) may reorder result
   // prefixes between runs with different k, so prefix-skipping alone would
-  // leak duplicates.
-  std::unordered_set<IdType> returned_;
+  // leak duplicates. Holds external ids, which are not dense node ids.
+  std::unordered_set<IdType> returned_;  // lint:allow(node-set)
 };
 
 }  // namespace blendhouse::vecindex

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 
 #include "common/assert.h"
 #include "common/io.h"
 #include "vecindex/distance.h"
 #include "vecindex/scan_counters.h"
+#include "vecindex/visited_set.h"
 
 namespace blendhouse::vecindex {
 
@@ -117,12 +117,13 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
   std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>>
       candidates;
   std::priority_queue<Neighbor> best;
-  std::unordered_set<uint32_t> visited;
+  VisitedSet& visited = ThreadVisitedSet();
+  visited.Reset(ids_.size());
 
   float entry_d = DistToItem(query, entry);
   candidates.push({static_cast<IdType>(entry), entry_d});
   best.push({static_cast<IdType>(entry), entry_d});
-  visited.insert(entry);
+  visited.Insert(entry);
 
   while (!candidates.empty()) {
     Neighbor cur = candidates.top();
@@ -134,7 +135,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
     // graph order is random so every expansion is a potential miss.
     for (uint32_t nb : links) PrefetchItem(nb);
     for (uint32_t nb : links) {
-      if (!visited.insert(nb).second) continue;
+      if (!visited.Insert(nb)) continue;
       float d = DistToItem(query, nb);
       if (best.size() < ef || d < best.top().distance) {
         candidates.push({static_cast<IdType>(nb), d});
@@ -321,12 +322,13 @@ class HnswSearchIterator : public SearchIterator {
         query_(query, query + index->Dim()),
         params_(params) {
     if (index_->Size() == 0) return;
+    visited_.Reset(index_->Size());
     uint32_t entry = index_->GreedyDescend(
         query_.data(), index_->entry_point_,
         static_cast<size_t>(index_->max_level_), 0);
     float d = index_->DistToItem(query_.data(), entry);
     frontier_.push({static_cast<IdType>(entry), d});
-    visited_.insert(entry);
+    Visit(entry);
     // Explore at least ef nodes before the first yield: pure best-first from
     // a single entry misses neighbors that hide behind slightly-farther hops
     // (the same reason beam search uses ef > k).
@@ -363,12 +365,18 @@ class HnswSearchIterator : public SearchIterator {
     return out;
   }
 
-  size_t VisitedCount() const override { return visited_.size(); }
+  size_t VisitedCount() const override { return visited_count_; }
   Stats GetStats() const override {
-    return {visited_.size(), batches_, /*recompute_rounds=*/0};
+    return {visited_count_, batches_, /*recompute_rounds=*/0};
   }
 
  private:
+  bool Visit(uint32_t node) {
+    if (!visited_.Insert(node)) return false;
+    ++visited_count_;
+    return true;
+  }
+
   /// Pops the closest frontier node, expands it, and parks it in ready_.
   void Settle() {
     Neighbor cur = frontier_.top();
@@ -377,7 +385,7 @@ class HnswSearchIterator : public SearchIterator {
     const std::vector<uint32_t>& links = index_->LinksAt(node, 0);
     for (uint32_t nb : links) index_->PrefetchItem(nb);
     for (uint32_t nb : links) {
-      if (!visited_.insert(nb).second) continue;
+      if (!Visit(nb)) continue;
       frontier_.push(
           {static_cast<IdType>(nb), index_->DistToItem(query_.data(), nb)});
     }
@@ -393,7 +401,10 @@ class HnswSearchIterator : public SearchIterator {
   // Settled nodes not yet returned, in distance order.
   std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>>
       ready_;
-  std::unordered_set<uint32_t> visited_;
+  // Owned, not the thread's set: other walks run on this thread between
+  // Next() calls.
+  VisitedSet visited_;
+  size_t visited_count_ = 0;
   size_t batches_ = 0;
 };
 
@@ -437,6 +448,8 @@ common::Status HnswIndex::Save(std::string* out) const {
 }
 
 common::Status HnswIndex::Load(std::string_view in) {
+  // Graph walks index a dense visited array by node id (visited_set.h), so
+  // every id, level and size read here is checked before any walk runs.
   common::BinaryReader r(in);
   std::string type;
   BH_RETURN_IF_ERROR(r.ReadString(&type));
@@ -452,6 +465,9 @@ common::Status HnswIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&precision));
   if (precision > static_cast<uint8_t>(Precision::kInt8))
     return common::Status::Corruption("hnsw: bad precision tag");
+  if (metric > static_cast<uint32_t>(Metric::kCosine))
+    return common::Status::Corruption("hnsw: bad metric tag");
+  if (dim == 0) return common::Status::Corruption("hnsw: zero dim");
   dim_ = dim;
   metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
@@ -466,27 +482,60 @@ common::Status HnswIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&max_level_));
   BH_RETURN_IF_ERROR(r.ReadVector(&ids_));
   BH_RETURN_IF_ERROR(r.ReadVector(&levels_));
+  const size_t n = ids_.size();
+  if (levels_.size() != n)
+    return common::Status::Corruption("hnsw: level count mismatch");
+  int top = -1;
+  for (uint8_t level : levels_) top = std::max<int>(top, level);
+  if (max_level_ != top)
+    return common::Status::Corruption("hnsw: max level disagrees with levels");
+  if (n > 0 && (entry_point_ >= n || levels_[entry_point_] != top))
+    return common::Status::Corruption("hnsw: bad entry point");
+  // Divides rather than multiplies: n * dim can wrap on a corrupt dim.
+  auto holds_n_vectors = [&](size_t values) {
+    return values % dim_ == 0 && values / dim_ == n;
+  };
   if (reduced_precision()) {
     BH_RETURN_IF_ERROR(store_.Deserialize(&r));
     if (store_.precision() != options_.precision || store_.dim() != dim_ ||
-        store_.size() != ids_.size())
+        store_.size() != n)
       return common::Status::Corruption("hnsw: store mismatch");
   } else if (options_.scalar_quantized) {
     BH_RETURN_IF_ERROR(sq_.Deserialize(&r));
     BH_RETURN_IF_ERROR(r.ReadVector(&codes_));
+    if (sq_.dim() != dim_ || !holds_n_vectors(codes_.size()))
+      return common::Status::Corruption("hnsw: code size mismatch");
   } else {
     BH_RETURN_IF_ERROR(r.ReadVector(&data_));
+    if (!holds_n_vectors(data_.size()))
+      return common::Status::Corruption("hnsw: vector size mismatch");
+    // A NaN or infinite coordinate makes distances unordered, and the
+    // heaps and sorts of a walk need a strict weak order.
+    for (float v : data_)
+      if (!std::isfinite(v))
+        return common::Status::Corruption("hnsw: non-finite vector");
   }
   uint64_t num_nodes = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_nodes));
-  if (num_nodes != ids_.size())
+  if (num_nodes != n)
     return common::Status::Corruption("hnsw: node count mismatch");
-  links_.assign(num_nodes, {});
-  for (auto& node : links_) {
+  links_.assign(n, {});
+  for (size_t node = 0; node < n; ++node) {
     uint32_t num_levels = 0;
     BH_RETURN_IF_ERROR(r.Read(&num_levels));
-    node.resize(num_levels);
-    for (auto& lvl : node) BH_RETURN_IF_ERROR(r.ReadVector(&lvl));
+    if (num_levels != levels_[node] + 1u)
+      return common::Status::Corruption("hnsw: node level count mismatch");
+    links_[node].resize(num_levels);
+    for (size_t level = 0; level < num_levels; ++level) {
+      std::vector<uint32_t>& lvl = links_[node][level];
+      BH_RETURN_IF_ERROR(r.ReadVector(&lvl));
+      if (lvl.size() > MaxLinks(level))
+        return common::Status::Corruption("hnsw: degree above bound");
+      // A neighbor on `level` must exist and itself reach `level`.
+      for (uint32_t nb : lvl)
+        if (nb >= n || levels_[nb] < level)
+          return common::Status::Corruption("hnsw: bad neighbor id");
+    }
   }
   return common::Status::Ok();
 }

@@ -376,6 +376,8 @@ common::Status PrecisionStore::Deserialize(common::BinaryReader* r) {
   if (precision > static_cast<uint8_t>(Precision::kInt8) ||
       precision == static_cast<uint8_t>(Precision::kFp32))
     return common::Status::Corruption("precision store: bad precision tag");
+  if (metric > static_cast<uint8_t>(Metric::kCosine))
+    return common::Status::Corruption("precision store: bad metric tag");
   precision_ = static_cast<Precision>(precision);
   metric_ = static_cast<Metric>(metric);
   dim_ = dim;

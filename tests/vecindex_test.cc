@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string_view>
+#include <thread>
 #include <unordered_set>
 
 #include "tests/test_util.h"
@@ -19,6 +22,7 @@
 #include "vecindex/kmeans.h"
 #include "vecindex/pq.h"
 #include "vecindex/quantizer.h"
+#include "vecindex/visited_set.h"
 
 namespace blendhouse::vecindex {
 namespace {
@@ -799,6 +803,423 @@ TEST(HnswIndexTest, IteratorReachesDeepResults) {
   EXPECT_GE(total, 900u);  // HNSW graphs are connected: nearly all reachable
 }
 
+// ---------------------------------------------------------------------------
+// VisitedSet
+// ---------------------------------------------------------------------------
+
+TEST(VisitedSetTest, ResetForgetsEveryId) {
+  VisitedSet set;
+  set.Reset(8);
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_FALSE(set.Insert(3));
+  EXPECT_TRUE(set.Contains(3));
+  EXPECT_FALSE(set.Contains(4));
+  set.Reset(8);
+  EXPECT_FALSE(set.Contains(3));
+  EXPECT_TRUE(set.Insert(3));
+}
+
+TEST(VisitedSetTest, GrowingKeepsOldIdsForgotten) {
+  VisitedSet set;
+  set.Reset(4);
+  ASSERT_TRUE(set.Insert(2));
+  set.Reset(100);
+  EXPECT_FALSE(set.Contains(2));
+  EXPECT_TRUE(set.Insert(99));
+  EXPECT_TRUE(set.Contains(99));
+}
+
+TEST(VisitedSetTest, EpochWrapClearsStaleTags) {
+  // An id tagged in the first walk must not read as visited when the
+  // 16-bit epoch comes back round to the same value.
+  VisitedSet set;
+  set.Reset(8);
+  ASSERT_TRUE(set.Insert(3));
+  size_t stale = 0;
+  for (int i = 0; i < 70000; ++i) {
+    set.Reset(8);
+    stale += set.Contains(3) ? 1 : 0;
+  }
+  EXPECT_EQ(stale, 0u);
+  EXPECT_TRUE(set.Insert(3));
+}
+
+// ---------------------------------------------------------------------------
+// HNSW visited set: the dense per-thread / per-iterator set must leave the
+// built graph, the walk order and the iterator's cost accounting unchanged.
+// ---------------------------------------------------------------------------
+
+/// Clustered vectors rounded to multiples of 1/8. Every L2 distance between
+/// them is exact in fp32, so the built graph does not depend on the SIMD
+/// tier's summation order and its saved bytes can be pinned.
+std::vector<float> ExactGridVectors(size_t n, size_t dim, uint64_t seed) {
+  auto data = MakeClusteredVectors(n, dim, 12, seed);
+  for (float& v : data) v = std::round(v * 8.0f) / 8.0f;
+  return data;
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string SeededHnswBytes(size_t m) {
+  constexpr size_t kGridN = 1500, kGridDim = 24;
+  auto data = ExactGridVectors(kGridN, kGridDim, 91);
+  HnswOptions opts;
+  opts.M = m;
+  opts.ef_construction = 100;
+  opts.seed = 7;
+  HnswIndex index(kGridDim, Metric::kL2, opts);
+  auto ids = SequentialIds(kGridN);
+  EXPECT_TRUE(index.AddWithIds(data.data(), ids.data(), kGridN).ok());
+  std::string bytes;
+  EXPECT_TRUE(index.Save(&bytes).ok());
+  return bytes;
+}
+
+// The pinned sizes and FNV-1a hashes are those of the hash-set visited
+// tracking this set replaced; a change that moves the graph moves them.
+TEST(HnswVisitedSetTest, SeededBuildM16SavesPinnedBytes) {
+  std::string bytes = SeededHnswBytes(16);
+  EXPECT_EQ(bytes.size(), 332126u);
+  EXPECT_EQ(Fnv1a(bytes), 7526156887413778493ULL);
+}
+
+TEST(HnswVisitedSetTest, SeededBuildM8SavesPinnedBytes) {
+  std::string bytes = SeededHnswBytes(8);
+  EXPECT_EQ(bytes.size(), 259662u);
+  EXPECT_EQ(Fnv1a(bytes), 12019590518163140927ULL);
+}
+
+TEST(HnswVisitedSetTest, IteratorRowsVisitedIsPinned) {
+  constexpr size_t kGridN = 1500, kGridDim = 24;
+  auto data = ExactGridVectors(kGridN, kGridDim, 91);
+  HnswIndex index(kGridDim, Metric::kL2,
+                  HnswOptions{.M = 8, .ef_construction = 100, .seed = 7});
+  auto ids = SequentialIds(kGridN);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), kGridN).ok());
+  SearchParams p;
+  p.k = 10;
+  p.ef_search = 40;
+  // Pinned counts, as for the saved bytes above: the ledger's
+  // iter_rows_visited and the cost model read these numbers.
+  auto iter = std::move(*index.MakeIterator(data.data() + 37 * kGridDim, p));
+  EXPECT_EQ(iter->VisitedCount(), 129u);
+  size_t served = 0;
+  for (int b = 0; b < 4; ++b) served += iter->Next(50).size();
+  EXPECT_EQ(served, 200u);
+  SearchIterator::Stats stats = iter->GetStats();
+  EXPECT_EQ(stats.rows_visited, 397u);
+  EXPECT_EQ(iter->VisitedCount(), stats.rows_visited);
+  EXPECT_EQ(stats.batches, 4u);
+}
+
+std::vector<std::vector<Neighbor>> SearchAll(const HnswIndex& index,
+                                             const std::vector<float>& queries,
+                                             size_t dim,
+                                             const SearchParams& p) {
+  std::vector<std::vector<Neighbor>> out;
+  for (size_t q = 0; q * dim < queries.size(); ++q) {
+    auto found = index.SearchWithFilter(queries.data() + q * dim, p);
+    EXPECT_TRUE(found.ok());
+    out.push_back(found.ok() ? *found : std::vector<Neighbor>{});
+  }
+  return out;
+}
+
+bool SameNeighbors(const std::vector<Neighbor>& a,
+                   const std::vector<Neighbor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i)
+    if (a[i].id != b[i].id || a[i].distance != b[i].distance) return false;
+  return true;
+}
+
+TEST(HnswVisitedSetTest, EpochWrapMatchesFreshThread) {
+  // A 16-bit epoch wraps after 65,536 resets; each search resets once.
+  // Every search on a thread that wraps must match a fresh thread's answer.
+  constexpr size_t kTinyN = 64, kTinyDim = 4, kQueries = 8;
+  auto data = MakeClusteredVectors(kTinyN, kTinyDim, 4, 17);
+  HnswIndex index(kTinyDim, Metric::kL2,
+                  HnswOptions{.M = 4, .ef_construction = 32, .seed = 5});
+  auto ids = SequentialIds(kTinyN);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), kTinyN).ok());
+  auto queries = MakeClusteredVectors(kQueries, kTinyDim, 4, 18);
+  SearchParams p;
+  p.k = 5;
+  p.ef_search = 16;
+
+  std::vector<std::vector<Neighbor>> reference;
+  std::thread([&] { reference = SearchAll(index, queries, kTinyDim, p); })
+      .join();
+  ASSERT_EQ(reference.size(), kQueries);
+
+  size_t mismatches = 0;
+  std::thread([&] {
+    for (size_t i = 0; i < 70000; ++i) {
+      size_t q = i % kQueries;
+      auto found = index.SearchWithFilter(queries.data() + q * kTinyDim, p);
+      if (!found.ok() || !SameNeighbors(*found, reference[q])) ++mismatches;
+    }
+  }).join();
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(HnswVisitedSetTest, IteratorIsolatedFromInterleavedSearch) {
+  // A live iterator on index A must not share visited state with one-shot
+  // searches on a larger index B (or on A itself) run on the same thread.
+  auto data_a = MakeClusteredVectors(400, 8, 6, 23);
+  auto data_b = MakeClusteredVectors(2000, 8, 6, 24);
+  HnswIndex a(8, Metric::kL2,
+              HnswOptions{.M = 8, .ef_construction = 60, .seed = 1});
+  HnswIndex b(8, Metric::kL2,
+              HnswOptions{.M = 8, .ef_construction = 60, .seed = 2});
+  auto ids_a = SequentialIds(400);
+  auto ids_b = SequentialIds(2000);
+  ASSERT_TRUE(a.AddWithIds(data_a.data(), ids_a.data(), 400).ok());
+  ASSERT_TRUE(b.AddWithIds(data_b.data(), ids_b.data(), 2000).ok());
+  SearchParams p;
+  p.k = 10;
+  p.ef_search = 32;
+  const float* query = data_a.data() + 5 * 8;
+
+  std::vector<std::vector<Neighbor>> alone;
+  auto solo = std::move(*a.MakeIterator(query, p));
+  for (int i = 0; i < 6; ++i) alone.push_back(solo->Next(25));
+
+  auto iter = std::move(*a.MakeIterator(query, p));
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      ASSERT_TRUE(b.SearchWithFilter(data_b.data() + j * 8, p).ok());
+      ASSERT_TRUE(a.SearchWithFilter(data_a.data() + j * 8, p).ok());
+    }
+    EXPECT_TRUE(SameNeighbors(iter->Next(25), alone[i])) << "batch " << i;
+  }
+  EXPECT_EQ(iter->GetStats().rows_visited, solo->GetStats().rows_visited);
+}
+
+// ---------------------------------------------------------------------------
+// HNSW Load validation: graph walks index a dense visited array by node id,
+// so every id, level and size in the saved bytes is checked before use.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t off) {
+  T v;
+  std::memcpy(&v, bytes.data() + off, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void WriteAt(std::string* bytes, size_t off, T v) {
+  std::memcpy(bytes->data() + off, &v, sizeof(T));
+}
+
+/// Byte offsets inside HnswIndex::Save's fp32 layout: type string, dim,
+/// metric, M, ef_construction, two tag bytes, entry point, max level, ids,
+/// levels, vectors, then per node a level count and one id list per level.
+struct HnswLayout {
+  size_t dim, metric, m, entry, max_level, levels;
+  size_t n = 0;
+  /// [node][level] -> offset of that level's u64 length prefix.
+  std::vector<std::vector<size_t>> lists;
+  std::vector<size_t> level_count;  // offset of each node's u32 level count
+};
+
+HnswLayout ParseHnswLayout(const std::string& b, size_t dim) {
+  HnswLayout l;
+  l.dim = 8 + ReadAt<uint64_t>(b, 0);
+  l.metric = l.dim + 8;
+  l.m = l.metric + 4;
+  l.entry = l.m + 8 + 8 + 2;
+  l.max_level = l.entry + 4;
+  l.n = ReadAt<uint64_t>(b, l.max_level + 4);
+  size_t off = l.max_level + 4 + 8 + l.n * sizeof(IdType);
+  l.levels = off + 8;
+  off = l.levels + l.n;
+  off += 8 + l.n * dim * sizeof(float) + 8;  // vectors, node count
+  for (size_t i = 0; i < l.n; ++i) {
+    l.level_count.push_back(off);
+    uint32_t levels = ReadAt<uint32_t>(b, off);
+    off += 4;
+    l.lists.emplace_back();
+    for (uint32_t lv = 0; lv < levels; ++lv) {
+      l.lists.back().push_back(off);
+      off += 8 + ReadAt<uint64_t>(b, off) * sizeof(uint32_t);
+    }
+  }
+  EXPECT_EQ(off, b.size());
+  return l;
+}
+
+class HnswLoadTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kLoadN = 300, kLoadDim = 8;
+
+  void SetUp() override {
+    data_ = MakeClusteredVectors(kLoadN, kLoadDim, 6, 33);
+    HnswIndex index(kLoadDim, Metric::kL2,
+                    HnswOptions{.M = 8, .ef_construction = 60, .seed = 3});
+    auto ids = SequentialIds(kLoadN);
+    ASSERT_TRUE(index.AddWithIds(data_.data(), ids.data(), kLoadN).ok());
+    ASSERT_TRUE(index.Save(&bytes_).ok());
+    layout_ = ParseHnswLayout(bytes_, kLoadDim);
+    ASSERT_EQ(layout_.n, kLoadN);
+  }
+
+  common::Status LoadFresh(const std::string& bytes) const {
+    HnswIndex fresh(kLoadDim, Metric::kL2);
+    return fresh.Load(bytes);
+  }
+
+  /// Some node other than the entry point whose top level is `level`.
+  uint32_t NodeAtLevel(uint8_t level) const {
+    uint32_t entry = ReadAt<uint32_t>(bytes_, layout_.entry);
+    for (uint32_t i = 0; i < kLoadN; ++i)
+      if (i != entry && ReadAt<uint8_t>(bytes_, layout_.levels + i) == level)
+        return i;
+    ADD_FAILURE() << "no node at level " << int{level};
+    return 0;
+  }
+
+  std::vector<float> data_;
+  std::string bytes_;
+  HnswLayout layout_;
+};
+
+TEST_F(HnswLoadTest, IntactBytesLoad) { EXPECT_TRUE(LoadFresh(bytes_).ok()); }
+
+TEST_F(HnswLoadTest, RejectsMetricTagPastCosine) {
+  WriteAt<uint32_t>(&bytes_, layout_.metric,
+                    static_cast<uint32_t>(Metric::kCosine) + 1);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsEntryPointOutOfRange) {
+  WriteAt<uint32_t>(&bytes_, layout_.entry, kLoadN);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsMaxLevelDisagreeingWithLevels) {
+  int32_t max_level = ReadAt<int32_t>(bytes_, layout_.max_level);
+  std::string higher = bytes_;
+  WriteAt<int32_t>(&higher, layout_.max_level, max_level + 1);
+  EXPECT_TRUE(LoadFresh(higher).IsCorruption());
+  std::string none = bytes_;
+  WriteAt<int32_t>(&none, layout_.max_level, -1);
+  EXPECT_TRUE(LoadFresh(none).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsNodeLevelCountMismatch) {
+  WriteAt<uint8_t>(&bytes_, layout_.levels + NodeAtLevel(0), 1);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsNeighborIdOutOfRange) {
+  size_t list = layout_.lists[0][0];
+  ASSERT_GT(ReadAt<uint64_t>(bytes_, list), 0u);
+  WriteAt<uint32_t>(&bytes_, list + 8, kLoadN);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsUpperLevelLinkToLowerNode) {
+  // A level-1 edge into a node that has no level-1 list would make the
+  // greedy descent read past that node's levels.
+  uint32_t upper = NodeAtLevel(1);
+  size_t list = layout_.lists[upper][1];
+  ASSERT_GT(ReadAt<uint64_t>(bytes_, list), 0u);
+  WriteAt<uint32_t>(&bytes_, list + 8, NodeAtLevel(0));
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsDegreeAboveMaxLinks) {
+  // M=1 caps level 0 at two links; the saved graph was built with M=8.
+  WriteAt<uint64_t>(&bytes_, layout_.m, 1);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsVectorCountMismatch) {
+  WriteAt<uint64_t>(&bytes_, layout_.dim, kLoadDim + 1);
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST_F(HnswLoadTest, RejectsNonFiniteVector) {
+  size_t first_float = layout_.levels + kLoadN + 8;
+  WriteAt<float>(&bytes_, first_float, std::numeric_limits<float>::quiet_NaN());
+  EXPECT_TRUE(LoadFresh(bytes_).IsCorruption());
+}
+
+TEST(HnswLoadStorageTest, RejectsDimMismatchForEveryStorage) {
+  // SQ codes and reduced-precision stores carry their own dim; a header dim
+  // that disagrees with the stored vectors must fail for each storage form.
+  auto data = MakeClusteredVectors(200, 8, 4, 35);
+  auto ids = SequentialIds(200);
+  for (const char* type : {"HNSW", "HNSWSQ", "HNSW:fp16", "HNSW:int8"}) {
+    SCOPED_TRACE(type);
+    auto index = MakeIndex(type, 8);
+    if (index->NeedsTraining()) {
+      ASSERT_TRUE(index->Train(data.data(), 200).ok());
+    }
+    ASSERT_TRUE(index->AddWithIds(data.data(), ids.data(), 200).ok());
+    std::string bytes;
+    ASSERT_TRUE(index->Save(&bytes).ok());
+    ASSERT_TRUE(MakeIndex(type, 8)->Load(bytes).ok());
+    WriteAt<uint64_t>(&bytes, 8 + ReadAt<uint64_t>(bytes, 0), 9);
+    EXPECT_TRUE(MakeIndex(type, 8)->Load(bytes).IsCorruption());
+  }
+}
+
+TEST_F(HnswLoadTest, BitFlipAndTruncationSweepStaysInBounds) {
+  // Each corrupted copy either fails to load or loads into an index whose
+  // searches and iterators stay in bounds (the sanitizer legs check the
+  // memory accesses; this checks the shapes of the answers).
+  common::Rng rng(20251);
+  common::Bitset half(kLoadN);
+  for (size_t i = 0; i < kLoadN; i += 2) half.Set(i);
+  SearchParams p;
+  p.k = 10;
+  p.ef_search = 32;
+  size_t loaded = 0, rejected = 0;
+  auto probe = [&](const std::string& bytes) {
+    HnswIndex fresh(kLoadDim, Metric::kL2);
+    if (!fresh.Load(bytes).ok()) {
+      ++rejected;
+      return;
+    }
+    ++loaded;
+    for (int q = 0; q < 2; ++q) {
+      const float* query = data_.data() + (q * 97 % kLoadN) * kLoadDim;
+      SearchParams fp = p;
+      fp.filter = q == 0 ? nullptr : &half;
+      auto found = fresh.SearchWithFilter(query, fp);
+      ASSERT_TRUE(found.ok());
+      ASSERT_LE(found->size(), 10u);
+      auto iter = std::move(*fresh.MakeIterator(query, fp));
+      for (int b = 0; b < 3; ++b) ASSERT_LE(iter->Next(40).size(), 40u);
+    }
+  };
+  const size_t bits = bytes_.size() * 8;
+  for (int i = 0; i < 3000; ++i) {
+    size_t bit = static_cast<size_t>(rng.UniformInt(0, bits - 1));
+    std::string flipped = bytes_;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    probe(flipped);
+  }
+  for (int i = 0; i < 300; ++i) {
+    size_t keep = static_cast<size_t>(rng.UniformInt(0, bytes_.size() - 1));
+    probe(bytes_.substr(0, keep));
+  }
+  // Truncations always fail; most single-bit flips land in vector payloads
+  // and load.
+  EXPECT_GE(rejected, 300u);
+  EXPECT_GT(loaded, 0u);
+}
+
 TEST(IvfIndexTest, MoreProbesImproveRecall) {
   auto data = MakeClusteredVectors(2000, kDim, 16, 61);
   IvfOptions opts;
@@ -1004,6 +1425,49 @@ TEST(DiskAnnTest, SealedIndexRejectsFurtherAdds) {
   ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), 200).ok());
   common::Status again = index.AddWithIds(data.data(), ids.data(), 200);
   EXPECT_TRUE(again.IsNotSupported());
+}
+
+TEST(DiskAnnTest, BitFlipAndTruncationSweepStaysInBounds) {
+  // DiskANN walks index dense seen/expanded sets by neighbor id; a corrupt
+  // id must be rejected at Load or by the block decoder, never walked.
+  auto data = MakeClusteredVectors(300, 8, 6, 83);
+  DiskAnnOptions opts;
+  opts.R = 12;
+  opts.L_build = 24;
+  opts.pq_m = 4;
+  opts.simulate_disk_latency = false;
+  DiskAnnIndex index(8, Metric::kL2, opts);
+  auto ids = SequentialIds(300);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), 300).ok());
+  std::string bytes;
+  ASSERT_TRUE(index.Save(&bytes).ok());
+  common::Rng rng(20252);
+  SearchParams p;
+  p.k = 10;
+  p.ef_search = 24;
+  size_t loaded = 0;
+  auto probe = [&](const std::string& corrupt) {
+    DiskAnnIndex fresh(8, Metric::kL2, opts);
+    if (!fresh.Load(corrupt).ok()) return;
+    ++loaded;
+    const float* query = data.data() + 41 * 8;
+    auto found = fresh.SearchWithFilter(query, p);
+    ASSERT_TRUE(found.ok());
+    ASSERT_LE(found->size(), 10u);
+    auto iter = std::move(*fresh.MakeIterator(query, p));
+    for (int b = 0; b < 3; ++b) ASSERT_LE(iter->Next(40).size(), 40u);
+  };
+  const size_t bits = bytes.size() * 8;
+  for (int i = 0; i < 1500; ++i) {
+    size_t bit = static_cast<size_t>(rng.UniformInt(0, bits - 1));
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    probe(flipped);
+  }
+  for (int i = 0; i < 150; ++i)
+    probe(bytes.substr(0, static_cast<size_t>(
+                              rng.UniformInt(0, bytes.size() - 1))));
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(GenericIteratorTest, ExhaustsSmallIndex) {

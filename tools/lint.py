@@ -2,7 +2,7 @@
 """BlendHouse source linter.
 
 Runs as a ctest (see tests/CMakeLists.txt) over everything under src/ and
-enforces four concurrency/hygiene rules:
+enforces these concurrency/hygiene rules:
 
   raw-mutex    Raw standard-library locking primitives (std::mutex,
                std::condition_variable, std::lock_guard, ...) are banned
@@ -44,6 +44,12 @@ enforces four concurrency/hygiene rules:
                where lifetime is structurally guaranteed (e.g. a pool owned
                by *this and destroyed first) carry lint:allow(this-capture)
                with a justification.
+  node-set     std::set / std::unordered_set (and the multiset forms) are
+               banned in src/vecindex/. Graph walks track visited node ids
+               in the dense epoch-tagged VisitedSet (vecindex/visited_set.h):
+               node-based hash sets allocate per insert and were the largest
+               cost of HNSW build. Sets that are not over dense node ids, or
+               whose iteration order matters, carry lint:allow(node-set).
 
 Suppress a finding by putting  lint:allow(<rule>)  in a comment on the same
 line. Usage: tools/lint.py [repo-root]
@@ -112,6 +118,10 @@ THIS_CAPTURE_RE = re.compile(
     r"\b(?:Then|Submit|Schedule|ScheduleAfter)\s*\(([^\[\]();]{0,80})"
     r"\[([^\]]*)\]", re.S)
 THIS_CAPTURE_PREFIXES = (os.path.join("src", "cluster") + os.sep,)
+
+# Node-based sets in the vector-index layer; walks use VisitedSet.
+NODE_SET_RE = re.compile(r"\bstd::(?:unordered_)?(?:multi)?set\b")
+NODE_SET_PREFIXES = (os.path.join("src", "vecindex") + os.sep,)
 
 
 def strip_comments_and_strings(text):
@@ -208,6 +218,7 @@ def check_tokens(path, raw_lines, code_lines, findings):
                     or path.startswith(SLEEP_EXEMPT_PREFIXES))
     exempt_simd = path.startswith(SIMD_EXEMPT_PREFIXES)
     exempt_timer = path.startswith(ADHOC_TIMER_EXEMPT_PREFIXES)
+    check_node_set = path.startswith(NODE_SET_PREFIXES)
     for lineno, line in enumerate(code_lines, start=1):
         if not exempt_mutex:
             for token in RAW_MUTEX_TOKENS:
@@ -251,6 +262,14 @@ def check_tokens(path, raw_lines, code_lines, findings):
                          f"{token} outside src/common/; time through "
                          "common::metrics::ScopedTimer (registry histogram) "
                          "or a trace span instead"))
+        if check_node_set and not allowed(lineno, "node-set"):
+            m = NODE_SET_RE.search(line)
+            if m:
+                findings.append(
+                    (path, lineno, "node-set",
+                     f"{m.group(0)} in src/vecindex/; track graph node ids "
+                     "in a VisitedSet (vecindex/visited_set.h), or "
+                     "lint:allow(node-set) with a reason"))
         for m in NEW_RE.finditer(line):
             if allowed(lineno, "naked-new"):
                 continue
